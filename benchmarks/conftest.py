@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import pathlib
 import subprocess
 
+import numpy
 import pytest
+import scipy
 
 from repro.analysis.experiments import ExperimentResult
 from repro.analysis.tables import format_table
-from repro.kernels import POSITIONS, default_backend_name
+from repro.kernels import POSITIONS
 from repro.runner.serialize import canonical_json, params_key, result_to_payload
 from repro.runner.store import ResultStore
 
@@ -56,10 +59,10 @@ def _append_trajectory(result: ExperimentResult) -> None:
     match an existing entry are not re-appended, so reruns at one commit
     stay no-ops.
 
-    Every record carries the kernel backend that served the run and the
-    position dtype, so trajectory numbers measured under different compute
-    configurations are never compared as if they were the same machine
-    state.  (Records from before the kernel layer carry ``null`` for both.)
+    Every record carries the numpy and scipy versions, the CPU count and
+    the position dtype, so a dependency bump or a different machine shows
+    up as such instead of as a performance change.  (Older records carry a
+    ``kernel_backend`` field instead of the versions.)
     """
     if not result.experiment_id.startswith("S"):
         return
@@ -70,7 +73,9 @@ def _append_trajectory(result: ExperimentResult) -> None:
         "n": result.params.get(
             "n_points", result.params.get("n_nodes", result.params.get("n"))
         ),
-        "kernel_backend": default_backend_name(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "nproc": os.cpu_count(),
         "dtype": str(POSITIONS.dtype),
         "headline": result.headline,
         "git_rev": _git_rev(),

@@ -2,7 +2,7 @@
 
 PR 10 hoisted the stack's hot inner loops (cell-table gather, closed-ball
 membership, edge splicing, event stepping) into :mod:`repro.kernels`: one
-SoA vocabulary with a scalar ``reference`` backend and property-tested
+SoA vocabulary with scalar ``reference`` loops and property-tested
 byte-identity certificates.  The refactor only stays done if new hot paths
 keep going *through* that layer instead of hand-rolling the same
 searchsorted/argsort idioms inline — every inline copy is one more loop the
@@ -42,7 +42,7 @@ class InlineKernelIdiomRule(Rule):
     )
     rationale = (
         "The kernel layer (repro.kernels) carries the property-tested "
-        "byte-identity certificates and the backend dispatch.  A function "
+        "byte-identity certificates.  A function "
         "that re-rolls the CSR gather (np.searchsorted feeding np.repeat) or "
         "the sort-and-regroup (np.argsort/np.lexsort feeding np.split) is a "
         "hot path the certificates do not cover — route it through "

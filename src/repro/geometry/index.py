@@ -26,7 +26,6 @@ factory the consumers go through.
 from __future__ import annotations
 
 from fractions import Fraction
-import inspect
 from typing import Iterable, List, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -35,16 +34,6 @@ from scipy.spatial import cKDTree
 from repro.geometry.primitives import as_points
 from repro.kernels import ops as kernel_ops
 from repro.kernels.layout import CellTable, pack_bounds, pack_keys, spans_fit_packed
-
-#: ``cKDTree.query_ball_point(..., workers=-1)`` parallelises bulk queries
-#: across all cores (scipy >= 1.6); the guard keeps older scipy working.
-#: Only the *bulk* entry points pass it — thread fan-out on a single-center
-#: query costs more than it saves.
-_KDTREE_WORKERS = (
-    {"workers": -1}
-    if "workers" in inspect.signature(cKDTree.query_ball_point).parameters
-    else {}
-)
 
 __all__ = [
     "SpatialIndex",
@@ -81,8 +70,8 @@ def within_ball(points: np.ndarray, center: np.ndarray, radius: float) -> np.nda
     center or one ``(n, 2)`` center per point.
 
     The predicate itself lives in the kernel layer
-    (:func:`repro.kernels.ops.within_ball_mask`), where compiled backends
-    can replace it; this name remains the stable public entry point.
+    (:func:`repro.kernels.ops.within_ball_mask`), certified there against
+    its scalar loop; this name remains the stable public entry point.
     """
     return kernel_ops.within_ball_mask(points, center, radius)
 
@@ -769,6 +758,26 @@ class KDTreeIndex(_IndexBase):
     def __init__(self, points: np.ndarray) -> None:
         self.points = as_points(points)
         self._tree = cKDTree(self.points) if len(self.points) else None
+        if self._tree is not None:
+            self._lo = self.points.min(axis=0)
+            self._hi = self.points.max(axis=0)
+
+    def _tree_fits(self, centers: np.ndarray) -> bool:
+        """Whether ``cKDTree``'s squared distances stay finite for ``centers``.
+
+        The tree squares coordinate differences across the bounding box of
+        its points and the query centers, and raises an overflow
+        ``ValueError`` once their sum leaves the float64 range (spreads past
+        ~1e154), although the exact predicate is still well defined.  Under
+        ``workers=-1`` scipy raises inside a worker thread, which swallows
+        the error and hands back ``None`` hit lists or garbage counts.  So
+        the regime is decided here, before scipy is called: queries outside
+        it take the exact brute-force :func:`within_ball` path instead.
+        """
+        lo = np.minimum(self._lo, centers.min(axis=0))
+        hi = np.maximum(self._hi, centers.max(axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return bool(np.isfinite(np.sum(np.square(hi - lo))))
 
     def _filter(self, hits: Iterable[int], center: np.ndarray, radius: float) -> np.ndarray:
         """Sorted hit indices that pass the shared exact-ball predicate."""
@@ -784,20 +793,15 @@ class KDTreeIndex(_IndexBase):
         callers only; a single-center query pays more in dispatch than it
         gains).  Per-center hit *contents* are unaffected by the worker
         count, and every hit still goes through the exact post-filter.
-
-        ``cKDTree``'s squared-distance arithmetic overflows for coordinate
-        spreads past ~1e154 and raises, even though the exact predicate is
-        still well defined; fall back to brute-force ``within_ball``
-        candidates there so both backends keep answering identically instead
-        of one of them surfacing scipy's ValueError.
+        Outside the tree's overflow-free regime (:meth:`_tree_fits`) the
+        candidates are the exact brute-force hits instead, so both backends
+        keep answering identically.
         """
-        workers = _KDTREE_WORKERS if parallel else {}
-        try:
-            return self._tree.query_ball_point(centers, _candidate_radius(radius), **workers)
-        except ValueError as err:
-            if "overflow" not in str(err):
-                raise
+        if not self._tree_fits(centers):
             return [np.nonzero(within_ball(self.points, c, radius))[0] for c in centers]
+        return self._tree.query_ball_point(
+            centers, _candidate_radius(radius), workers=-1 if parallel else 1
+        )
 
     def query_radius(self, center: Iterable[float], radius: float) -> np.ndarray:
         _check_radius(radius)
@@ -835,30 +839,27 @@ class KDTreeIndex(_IndexBase):
         centers = as_points(centers)
         if len(centers) == 0 or self._tree is None:
             return np.zeros(len(centers), dtype=np.int64)
-        workers = _KDTREE_WORKERS if len(centers) > 1 else {}
-        try:
-            upper = np.asarray(
+        if not self._tree_fits(centers):
+            hits = self._candidates(centers, radius)
+            return np.fromiter((len(h) for h in hits), dtype=np.int64, count=len(centers))
+        workers = -1 if len(centers) > 1 else 1
+        upper = np.asarray(
+            self._tree.query_ball_point(
+                centers, _candidate_radius(radius), return_length=True, workers=workers
+            ),
+            dtype=np.int64,
+        )
+        if radius < _COUNT_FAST_PATH_MIN_RADIUS:
+            counts = np.zeros(len(centers), dtype=np.int64)
+            ambiguous = np.nonzero(upper)[0]
+        else:
+            counts = np.asarray(
                 self._tree.query_ball_point(
-                    centers, _candidate_radius(radius), return_length=True, **workers
+                    centers, radius * (1.0 - 1e-12), return_length=True, workers=workers
                 ),
                 dtype=np.int64,
             )
-            if radius < _COUNT_FAST_PATH_MIN_RADIUS:
-                counts = np.zeros(len(centers), dtype=np.int64)
-                ambiguous = np.nonzero(upper)[0]
-            else:
-                counts = np.asarray(
-                    self._tree.query_ball_point(
-                        centers, radius * (1.0 - 1e-12), return_length=True, **workers
-                    ),
-                    dtype=np.int64,
-                )
-                ambiguous = np.nonzero(upper != counts)[0]
-        except ValueError as err:  # overflow fallback, see _candidates
-            if "overflow" not in str(err):
-                raise
-            hits = self._candidates(centers, radius)
-            return np.fromiter((len(h) for h in hits), dtype=np.int64, count=len(centers))
+            ambiguous = np.nonzero(upper != counts)[0]
         if ambiguous.size:
             hits = self._candidates(centers[ambiguous], radius)
             for i, h in zip(ambiguous, hits):
@@ -870,12 +871,9 @@ class KDTreeIndex(_IndexBase):
         _check_radius(radius)
         if self._tree is None or len(self) < 2:
             return np.zeros((0, 2), dtype=np.int64)
-        try:
-            pairs = self._tree.query_pairs(r=_candidate_radius(radius), output_type="ndarray")
-        except ValueError as err:  # overflow fallback, see _candidates
-            if "overflow" not in str(err):
-                raise
+        if not self._tree_fits(self.points):
             return _pairs_from_lists(self.query_radius_many(self.points, radius))
+        pairs = self._tree.query_pairs(r=_candidate_radius(radius), output_type="ndarray")
         if pairs.size == 0:
             return np.zeros((0, 2), dtype=np.int64)
         pairs = pairs.astype(np.int64)

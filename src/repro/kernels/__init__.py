@@ -12,31 +12,18 @@ them into one kernel vocabulary:
   shard workers' shared-memory blocks.
 * :mod:`repro.kernels.ops` — the kernel API (``cell_gather``,
   ``within_ball_mask``, ``count_in_balls``, ``pair_candidates``,
-  ``splice_edges``, ``step_events``).
-* :mod:`repro.kernels.dispatch` — the backend registry: ``numpy`` is the
-  zero-dependency default, ``reference`` the extracted scalar certificate
-  baseline, ``numba`` an optional compiled backend selected via the
-  ``REPRO_KERNEL_BACKEND`` environment variable or an explicit argument —
-  feature-detected, never required at import time.
+  ``splice_edges``, ``step_events``), one numpy implementation each.
+* :mod:`repro.kernels.reference` — the scalar loops those kernels replaced,
+  with the same signatures: the byte-identity oracle of the certificate
+  suites and the S06 speedup baseline, never called at runtime.
 * :mod:`repro.kernels.profile` — opt-in per-kernel call/ns/bytes counters
   behind an injected clock (the S06 benchmark's attribution source).
 
-Discipline (see CONTRIBUTING.md): every kernel keeps its scalar reference
-implementation registered, and every backend is property-tested
-byte-identical against it (or carries a documented tolerance).
+Discipline (see CONTRIBUTING.md): every kernel keeps its scalar loop in
+:mod:`repro.kernels.reference`, and is property-tested byte-identical
+against it.
 """
 
-from repro.kernels.dispatch import (
-    KERNEL_NAMES,
-    KernelBackend,
-    available_backend_names,
-    backend_available,
-    default_backend_name,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
 from repro.kernels.layout import CELL_KEYS, POSITIONS, ROW_IDS, BufferSpec, CellTable
 from repro.kernels.ops import (
     cell_gather,
@@ -49,15 +36,6 @@ from repro.kernels.ops import (
 from repro.kernels.profile import KernelProfiler, KernelStats, active_profiler, profiled
 
 __all__ = [
-    "KERNEL_NAMES",
-    "KernelBackend",
-    "available_backend_names",
-    "backend_available",
-    "default_backend_name",
-    "get_backend",
-    "register_backend",
-    "set_backend",
-    "use_backend",
     "BufferSpec",
     "CellTable",
     "POSITIONS",

@@ -1,54 +1,48 @@
-"""S06 — kernel-layer throughput and byte-identity per backend.
+"""S06 — kernel-layer throughput and byte-identity against the scalar loops.
 
-Profiles the three hottest kernels of the stack — ``cell_gather`` (the grid
+Times the three hottest kernels of the stack — ``cell_gather`` (the grid
 index's bulk candidate expansion), ``within_ball_mask`` (the exact
 closed-ball predicate) and ``step_events`` (the event queue's stepping
-order) — on every *available* backend, using the
-:class:`~repro.kernels.profile.KernelProfiler` as the attribution source:
-timings come from the profiler's per-kernel nanosecond counters, not from
+order) — in their numpy form (:mod:`repro.kernels.ops`) and in the scalar
+form they replaced (:mod:`repro.kernels.reference`), attributing time per
+kernel through a :class:`~repro.kernels.profile.KernelProfiler` rather than
 timing whole queries.
 
 Two arms:
 
-* **Certificates** (deterministic): every available backend is replayed on
-  an adversarial workload — exact-boundary distances, radius-0 queries,
-  subnormal offsets, tie-heavy event times — and its answers must be
-  byte-identical to the ``reference`` backend (the extracted scalar loops).
-  ``certificates_ok`` is the conjunction; it is the headline the floor file
-  hard-asserts.
+* **Certificates** (deterministic): the numpy kernels are replayed on an
+  adversarial workload — exact-boundary distances, radius-0 queries,
+  subnormal offsets, tie-heavy event times — and must answer
+  byte-identically to the scalar loops.  ``certificates_ok`` is the
+  headline the floor file hard-asserts.
 * **Throughput** (wall-clock): each kernel is driven ``repeats`` times per
-  backend at size ``n`` and the headline reports per-call nanoseconds plus
-  the speedup of every backend over ``reference``.  ``numba_best_speedup``
-  (present only when numba is importable) is the max over kernels of
-  numba-vs-numpy — the acceptance floor for the compiled backend.
+  implementation at size ``n``; the headline reports the numpy speedup
+  over the scalar loop per kernel (``speedup_{kernel}_numpy``).
 
-``BENCH_S06.json`` tracks the trajectory: per-kernel per-backend headline
-rows, one record per (git revision, headline).
+``BENCH_S06.json`` tracks the trajectory: one record per (git revision,
+headline).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from types import ModuleType
+from typing import Dict, List
 
 import numpy as np
 
 from repro.analysis.experiments import ExperimentResult
-from repro.kernels import (
-    CellTable,
-    KernelProfiler,
-    available_backend_names,
-    cell_gather,
-    profiled,
-    step_events,
-    within_ball_mask,
-)
+from repro.kernels import CellTable, KernelProfiler, ops, reference
 from repro.kernels.layout import pack_bounds, pack_keys
 from repro.runner.registry import register
 
 __all__ = ["experiment_s06_kernels"]
 
-#: The profiled kernel set (the stack's three hottest inner loops).
+#: The profiled kernel set (the stack's three hottest inner loops), in the
+#: order :func:`_workload` returns their operands.
 PROFILED_KERNELS = ("cell_gather", "within_ball_mask", "step_events")
+
+#: The timed implementations: row label -> module of same-named kernels.
+_IMPLEMENTATIONS: Dict[str, ModuleType] = {"numpy": ops, "reference": reference}
 
 #: Exact-boundary constants from the PR 2 adversarial suite.
 _BOUNDARY_RADIUS = 1.9033145596437013
@@ -56,7 +50,7 @@ _SUBNORMAL = 2.2e-313
 
 
 def _workload(n: int, seed: int):
-    """Seeded kernel operands at size ``n`` (shared by every backend arm)."""
+    """Seeded operands at size ``n``, one argument tuple per profiled kernel."""
     rng = np.random.default_rng(seed)
     # cell_gather: a dense-ish cell table plus a query stream that mixes
     # hits and misses, each carrying an owner id.
@@ -79,28 +73,30 @@ def _workload(n: int, seed: int):
     return (table, queries, owners), (points, center, radius), (times, seqs)
 
 
-def _run_all(
-    backend: str,
-    gather_args,
-    ball_args,
-    event_args,
-) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    g = cell_gather(*gather_args, backend=backend)
-    m = within_ball_mask(*ball_args, backend=backend)
-    e = step_events(*event_args, backend=backend)
-    return g, m, e
+def _certify(workload) -> bool:
+    """Byte-identity of the numpy kernels against the scalar loops."""
+    for kernel, args in zip(PROFILED_KERNELS, workload):
+        got = getattr(ops, kernel)(*args)
+        want = getattr(reference, kernel)(*args)
+        if isinstance(want, tuple):
+            if not all(np.array_equal(g, w) for g, w in zip(got, want)):
+                return False
+        elif not np.array_equal(got, want):
+            return False
+    return True
 
 
-def _certify(backend: str, workload) -> bool:
-    """Byte-identity of ``backend`` against ``reference`` on the workload."""
-    got = _run_all(backend, *workload)
-    want = _run_all("reference", *workload)
-    return (
-        np.array_equal(got[0][0], want[0][0])
-        and np.array_equal(got[0][1], want[0][1])
-        and np.array_equal(got[1], want[1])
-        and np.array_equal(got[2], want[2])
-    )
+def _ns_per_call(impl: ModuleType, workload, repeats: int) -> Dict[str, float]:
+    """Per-kernel mean nanoseconds of ``repeats`` calls (after one warm-up)."""
+    prof = KernelProfiler()
+    for kernel, args in zip(PROFILED_KERNELS, workload):
+        fn = getattr(impl, kernel)
+        fn(*args)
+        for _ in range(repeats):
+            t0 = prof.clock()
+            fn(*args)
+            prof.record(kernel, prof.clock() - t0, 0)
+    return {kernel: s.ns / s.calls for kernel, s in prof.stats.items()}
 
 
 @register("S06")
@@ -110,101 +106,65 @@ def experiment_s06_kernels(
     repeats: int = 3,
     seed: int = 406,
 ) -> ExperimentResult:
-    """Kernel-layer throughput and byte-identity per backend.
+    """Kernel-layer throughput and byte-identity against the scalar loops.
 
     Parameters
     ----------
     n:
-        Operand size of the throughput arm (the numba acceptance floor is
-        stated at ``n >= 1e5``).
+        Operand size of the throughput arm.
     certificate_n:
         Operand size of the deterministic byte-identity arm (kept small:
         the reference loops are scalar Python).
     repeats:
-        Timed calls per kernel per backend; per-call nanoseconds are the
-        profiler total divided by ``repeats``.
+        Timed calls per kernel per implementation; per-call nanoseconds are
+        the profiler total divided by ``repeats``.
     seed:
         Workload RNG seed.
     """
     if n < 1 or certificate_n < 1 or repeats < 1:
         raise ValueError("n, certificate_n and repeats must be positive")
-    backends = list(available_backend_names())
-    timed_backends = [b for b in backends if b != "reference"] + ["reference"]
 
-    # -- certificate arm: every backend vs the extracted scalar loops ----------
-    cert_workload = _workload(certificate_n, seed)
-    certificates = {b: _certify(b, cert_workload) for b in backends if b != "reference"}
-    certificates_ok = all(certificates.values())
+    certificates_ok = _certify(_workload(certificate_n, seed))
 
-    # -- throughput arm: profiler-attributed per-kernel nanoseconds ------------
     workload = _workload(n, seed + 1)
-    ns_per_call: Dict[str, Dict[str, float]] = {}
-    for backend in timed_backends:
-        _run_all(backend, *workload)  # warm up (JIT compile, caches)
-        prof = KernelProfiler()
-        with profiled(prof):
-            for _ in range(repeats):
-                _run_all(backend, *workload)
-        snap = prof.snapshot()
-        ns_per_call[backend] = {
-            kernel: snap[kernel]["ns"] / snap[kernel]["calls"]
-            for kernel in PROFILED_KERNELS
+    ns = {label: _ns_per_call(impl, workload, repeats) for label, impl in _IMPLEMENTATIONS.items()}
+
+    def speedup(label: str, kernel: str):
+        t = ns[label][kernel]
+        return round(ns["reference"][kernel] / t, 2) if t > 0 else None
+
+    rows: List[Dict] = [
+        {
+            "kernel": kernel,
+            "implementation": label,
+            "ns_per_call": round(ns[label][kernel], 1),
+            "items_per_s": (
+                round(n / (ns[label][kernel] / 1e9), 1) if ns[label][kernel] > 0 else None
+            ),
+            "speedup_vs_reference": speedup(label, kernel),
+            "certified": True if label == "reference" else certificates_ok,
         }
-
-    rows: List[Dict] = []
+        for kernel in PROFILED_KERNELS
+        for label in _IMPLEMENTATIONS
+    ]
+    headline: Dict = {"certificates_ok": certificates_ok}
     for kernel in PROFILED_KERNELS:
-        reference_ns = ns_per_call["reference"][kernel]
-        for backend in timed_backends:
-            ns = ns_per_call[backend][kernel]
-            rows.append(
-                {
-                    "kernel": kernel,
-                    "backend": backend,
-                    "ns_per_call": round(ns, 1),
-                    "items_per_s": round(n / (ns / 1e9), 1) if ns > 0 else None,
-                    "speedup_vs_reference": (
-                        round(reference_ns / ns, 2) if ns > 0 else None
-                    ),
-                    "certified": (
-                        True if backend == "reference" else certificates[backend]
-                    ),
-                }
-            )
-
-    numba_best: Optional[float] = None
-    if "numba" in ns_per_call:
-        numba_best = max(
-            round(ns_per_call["numpy"][k] / ns_per_call["numba"][k], 2)
-            for k in PROFILED_KERNELS
-            if ns_per_call["numba"][k] > 0
-        )
-
-    headline: Dict = {"certificates_ok": certificates_ok, "backends": ",".join(backends)}
-    for kernel in PROFILED_KERNELS:
-        reference_ns = ns_per_call["reference"][kernel]
-        for backend in timed_backends:
-            if backend == "reference":
-                continue
-            ns = ns_per_call[backend][kernel]
-            headline[f"speedup_{kernel}_{backend}"] = (
-                round(reference_ns / ns, 2) if ns > 0 else None
-            )
-    headline["numba_best_speedup"] = numba_best
+        headline[f"speedup_{kernel}_numpy"] = speedup("numpy", kernel)
 
     return ExperimentResult(
         experiment_id="S06",
-        title="Kernel-layer throughput and byte-identity per backend",
+        title="Kernel-layer throughput and byte-identity against the scalar loops",
         paper_reference="construction/maintenance hot paths (PR 2/4/7), hoisted (PR 10)",
         rows=rows,
         headline=headline,
         notes=[
             "Speedups are wall-clock and vary between reruns; certificates_ok "
-            "is deterministic — every backend answered the adversarial "
+            "is deterministic — the numpy kernels answered the adversarial "
             "workload (exact-boundary distances, subnormal offsets, tie-heavy "
             "event times) byte-identically to the extracted scalar reference "
             "loops.",
             "Timings are profiler-attributed per-kernel nanoseconds "
-            f"({repeats} calls per kernel per backend at n={n}), not "
+            f"({repeats} calls per kernel per implementation at n={n}), not "
             "whole-query wall time.",
         ],
     )

@@ -20,8 +20,8 @@ is the single place those buffer shapes are written down:
   boundary diff) underneath the cell table and the shard worker's tile and
   region classification.
 
-Everything in this package is importable without scipy, numba, or any other
-optional dependency — consumers below (geometry, simulation) depend on
+Everything in this package is importable with numpy alone, without scipy or any
+other optional dependency — consumers below (geometry, simulation) depend on
 kernels, never the other way around.
 """
 

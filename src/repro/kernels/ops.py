@@ -1,4 +1,4 @@
-"""The kernel API: six hot-path primitives with pluggable implementations.
+"""The kernel API: six vectorised hot-path primitives.
 
 Every interpreter-bound inner loop of the stack reduces to one of these:
 
@@ -18,26 +18,19 @@ Every interpreter-bound inner loop of the stack reduces to one of these:
 * :func:`step_events` — total-order event scheduling: the pop order of a
   pending ``(time, sequence)`` batch (the ``EventQueue`` stepping loop).
 
-Each function dispatches through :mod:`repro.kernels.dispatch` (numpy
-default, optional compiled backends) and, when a
-:class:`~repro.kernels.profile.KernelProfiler` is installed, accounts its
-calls/ns/bytes.  The ``reference`` backend registered here is the extracted
-scalar loop each vectorised kernel replaced — the byte-identity certificate
-baseline.  The scalar reference calls ``np.hypot`` *per element* rather
-than ``math.hypot``: CPython's ``math.hypot`` is a different (correctly
-rounded) algorithm that disagrees with the platform libm by 1 ULP on ~0.5%
-of inputs, which would flip exact-boundary memberships.
+Each is a numpy implementation, certified byte-identical to the scalar loop
+it replaced (:mod:`repro.kernels.reference`).  When a
+:class:`~repro.kernels.profile.KernelProfiler` is installed, every call
+accounts its calls/ns/bytes under the kernel's name.
 """
 
 from __future__ import annotations
 
-import bisect
-from itertools import takewhile
-from typing import List, Optional, Sequence, Tuple, Union
+import functools
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
-from repro.kernels.dispatch import KernelBackend, get_backend, register_backend
 from repro.kernels.layout import CellTable
 from repro.kernels.profile import active_profiler
 
@@ -50,20 +43,42 @@ __all__ = [
     "step_events",
 ]
 
-BackendSpec = Union[str, KernelBackend, None]
-
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 
+_Kernel = TypeVar("_Kernel", bound=Callable[..., Any])
 
-# -- public dispatchers ------------------------------------------------------------
+
+def _metered(nbytes: Callable[..., int]) -> Callable[[_Kernel], _Kernel]:
+    """Account a kernel's calls/ns/bytes with the installed profiler.
+
+    With no profiler installed a call pays one ``None`` check.  Otherwise
+    the call is timed on the profiler's clock and recorded under the
+    kernel's name with ``nbytes(out, *args, **kwargs)`` bytes touched.
+    """
+
+    def wrap(impl: _Kernel) -> _Kernel:
+        name = impl.__name__
+
+        @functools.wraps(impl)
+        def kernel(*args: Any, **kwargs: Any) -> Any:
+            prof = active_profiler()
+            if prof is None:
+                return impl(*args, **kwargs)
+            t0 = prof.clock()
+            out = impl(*args, **kwargs)
+            prof.record(name, prof.clock() - t0, nbytes(out, *args, **kwargs))
+            return out
+
+        return kernel  # type: ignore[return-value]
+
+    return wrap
 
 
+@_metered(lambda out, table, packed, owners: (
+    packed.nbytes + owners.nbytes + out[0].nbytes + out[1].nbytes
+))
 def cell_gather(
-    table: CellTable,
-    packed: np.ndarray,
-    owners: np.ndarray,
-    *,
-    backend: BackendSpec = None,
+    table: CellTable, packed: np.ndarray, owners: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Expand cell-table hits into (owner, member) candidate pairs.
 
@@ -72,147 +87,6 @@ def cell_gather(
     with their owner, in ``packed`` order (cells absent from the table
     contribute nothing).  Returns ``(owners_expanded, members)``.
     """
-    impl = get_backend(backend).kernels["cell_gather"]
-    prof = active_profiler()
-    if prof is None:
-        return impl(table, packed, owners)
-    t0 = prof.clock()
-    out = impl(table, packed, owners)
-    prof.record(
-        "cell_gather",
-        prof.clock() - t0,
-        packed.nbytes + owners.nbytes + out[0].nbytes + out[1].nbytes,
-    )
-    return out
-
-
-def within_ball_mask(
-    points: np.ndarray,
-    center: np.ndarray,
-    radius: float,
-    *,
-    backend: BackendSpec = None,
-) -> np.ndarray:
-    """Exact closed-ball membership mask (see ``geometry.index.within_ball``).
-
-    ``center`` broadcasts against ``points``: one ``(2,)`` center or one
-    center per point.  True Euclidean distance via ``hypot`` — never
-    squared, which underflows for subnormal offsets.
-    """
-    impl = get_backend(backend).kernels["within_ball_mask"]
-    prof = active_profiler()
-    if prof is None:
-        return impl(points, center, radius)
-    t0 = prof.clock()
-    out = impl(points, center, radius)
-    prof.record(
-        "within_ball_mask",
-        prof.clock() - t0,
-        np.asarray(points).nbytes + out.nbytes,
-    )
-    return out
-
-
-def count_in_balls(
-    owners: np.ndarray,
-    n_owners: int,
-    *,
-    backend: BackendSpec = None,
-) -> np.ndarray:
-    """Per-owner match counts from the mask-filtered owner column."""
-    impl = get_backend(backend).kernels["count_in_balls"]
-    prof = active_profiler()
-    if prof is None:
-        return impl(owners, n_owners)
-    t0 = prof.clock()
-    out = impl(owners, n_owners)
-    prof.record("count_in_balls", prof.clock() - t0, owners.nbytes + out.nbytes)
-    return out
-
-
-def pair_candidates(
-    owners: np.ndarray,
-    members: np.ndarray,
-    n_owners: int,
-    member_bound: int,
-    *,
-    backend: BackendSpec = None,
-) -> List[np.ndarray]:
-    """Group matched (owner, member) pairs into per-owner sorted arrays.
-
-    ``member_bound`` is an exclusive upper bound on member values (the
-    indexed point count), letting the fast path sort one collision-free
-    combined key ``owner * bound + member`` instead of a two-key lexsort;
-    the overflow fallback is byte-identical.
-    """
-    impl = get_backend(backend).kernels["pair_candidates"]
-    prof = active_profiler()
-    if prof is None:
-        return impl(owners, members, n_owners, member_bound)
-    t0 = prof.clock()
-    out = impl(owners, members, n_owners, member_bound)
-    prof.record(
-        "pair_candidates",
-        prof.clock() - t0,
-        owners.nbytes + members.nbytes,
-    )
-    return out
-
-
-def splice_edges(
-    parts: Sequence[Union[np.ndarray, Sequence[Tuple[int, int]]]],
-    *,
-    backend: BackendSpec = None,
-) -> np.ndarray:
-    """Merge edge fragments into the canonical sorted unique ``(m, 2)`` array.
-
-    Byte-identical to ``np.asarray(sorted(set(map(tuple, ...))))`` over the
-    pooled fragments — the scalar splice the repair engine and the shard
-    stitcher used to run.
-    """
-    impl = get_backend(backend).kernels["splice_edges"]
-    prof = active_profiler()
-    if prof is None:
-        return impl(parts)
-    t0 = prof.clock()
-    out = impl(parts)
-    prof.record("splice_edges", prof.clock() - t0, out.nbytes)
-    return out
-
-
-def step_events(
-    times: np.ndarray,
-    seqs: np.ndarray,
-    *,
-    until: Optional[float] = None,
-    max_events: Optional[int] = None,
-    backend: BackendSpec = None,
-) -> np.ndarray:
-    """Pop order of a pending event batch under the ``(time, seq)`` total order.
-
-    Returns the indices of the events to process, in processing order:
-    ascending time, ties broken by ascending sequence number (which is
-    unique, so the order is total).  ``until`` keeps only events with
-    ``time <= until``; ``max_events`` truncates the batch.
-    """
-    impl = get_backend(backend).kernels["step_events"]
-    prof = active_profiler()
-    if prof is None:
-        return impl(times, seqs, until, max_events)
-    t0 = prof.clock()
-    out = impl(times, seqs, until, max_events)
-    prof.record(
-        "step_events", prof.clock() - t0, times.nbytes + seqs.nbytes + out.nbytes
-    )
-    return out
-
-
-# -- numpy backend -----------------------------------------------------------------
-
-
-def _numpy_cell_gather(
-    table: CellTable, packed: np.ndarray, owners: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
     cell_ids = table.cell_ids
     n_cells = len(cell_ids)
     if n_cells == 0 or len(packed) == 0:
@@ -231,20 +105,37 @@ def _numpy_cell_gather(
     return np.repeat(owners[hit], counts), table.order[flat]
 
 
-def _numpy_within_ball_mask(
-    points: np.ndarray, center: np.ndarray, radius: float
-) -> np.ndarray:
+@_metered(lambda out, points, center, radius: np.asarray(points).nbytes + out.nbytes)
+def within_ball_mask(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Exact closed-ball membership mask (see ``geometry.index.within_ball``).
+
+    ``center`` broadcasts against ``points``: one ``(2,)`` center or one
+    center per point.  True Euclidean distance via ``hypot`` — never
+    squared, which underflows for subnormal offsets.
+    """
     diff = points - center
     return np.hypot(diff[..., 0], diff[..., 1]) <= radius
 
 
-def _numpy_count_in_balls(owners: np.ndarray, n_owners: int) -> np.ndarray:
+@_metered(lambda out, owners, n_owners: owners.nbytes + out.nbytes)
+def count_in_balls(owners: np.ndarray, n_owners: int) -> np.ndarray:
+    """Per-owner match counts from the mask-filtered owner column."""
     return np.bincount(owners, minlength=n_owners)
 
 
-def _numpy_pair_candidates(
+@_metered(lambda out, owners, members, n_owners, member_bound: (
+    owners.nbytes + members.nbytes
+))
+def pair_candidates(
     owners: np.ndarray, members: np.ndarray, n_owners: int, member_bound: int
 ) -> List[np.ndarray]:
+    """Group matched (owner, member) pairs into per-owner sorted arrays.
+
+    ``member_bound`` is an exclusive upper bound on member values (the
+    indexed point count), letting the fast path sort one collision-free
+    combined key ``owner * bound + member`` instead of a two-key lexsort;
+    the overflow fallback is byte-identical.
+    """
     # A single combined-key argsort is ~10x faster than the equivalent
     # two-key lexsort; fall back when the combined key could overflow int64.
     bound = max(1, int(member_bound))
@@ -257,9 +148,16 @@ def _numpy_pair_candidates(
     return np.split(members, np.cumsum(per_owner)[:-1])
 
 
-def _numpy_splice_edges(
+@_metered(lambda out, parts: out.nbytes)
+def splice_edges(
     parts: Sequence[Union[np.ndarray, Sequence[Tuple[int, int]]]]
 ) -> np.ndarray:
+    """Merge edge fragments into the canonical sorted unique ``(m, 2)`` array.
+
+    Byte-identical to ``np.asarray(sorted(set(map(tuple, ...))))`` over the
+    pooled fragments — the scalar splice the repair engine and the shard
+    stitcher used to run.
+    """
     arrays = [np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in parts]
     arrays = [a for a in arrays if len(a)]
     if not arrays:
@@ -273,12 +171,21 @@ def _numpy_splice_edges(
     return pooled[keep]
 
 
-def _numpy_step_events(
+@_metered(lambda out, times, seqs, **_: times.nbytes + seqs.nbytes + out.nbytes)
+def step_events(
     times: np.ndarray,
     seqs: np.ndarray,
-    until: Optional[float],
-    max_events: Optional[int],
+    *,
+    until: Optional[float] = None,
+    max_events: Optional[int] = None,
 ) -> np.ndarray:
+    """Pop order of a pending event batch under the ``(time, seq)`` total order.
+
+    Returns the indices of the events to process, in processing order:
+    ascending time, ties broken by ascending sequence number (which is
+    unique, so the order is total).  ``until`` keeps only events with
+    ``time <= until``; ``max_events`` truncates the batch.
+    """
     order = np.lexsort((seqs, times))
     if until is not None:
         # times[order] ascends, so the kept set is a prefix.
@@ -287,122 +194,3 @@ def _numpy_step_events(
     if max_events is not None:
         order = order[: max(0, int(max_events))]
     return order
-
-
-# -- reference backend (extracted scalar loops) ------------------------------------
-
-
-def _reference_cell_gather(
-    table: CellTable, packed: np.ndarray, owners: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    cell_list = table.cell_ids.tolist()
-    starts = table.starts.tolist()
-    counts = table.counts.tolist()
-    order = table.order
-    out_owners: List[int] = []
-    out_members: List[int] = []
-    for key, owner in zip(packed.tolist(), owners.tolist()):
-        pos = bisect.bisect_left(cell_list, key)
-        if pos < len(cell_list) and cell_list[pos] == key:
-            start, count = starts[pos], counts[pos]
-            for j in range(start, start + count):
-                out_owners.append(owner)
-                out_members.append(int(order[j]))
-    return (
-        np.array(out_owners, dtype=np.int64),
-        np.array(out_members, dtype=np.int64),
-    )
-
-
-def _reference_within_ball_mask(
-    points: np.ndarray, center: np.ndarray, radius: float
-) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    ctr = np.broadcast_to(np.asarray(center, dtype=np.float64), pts.shape)
-    flat_p = pts.reshape(-1, 2)
-    flat_c = ctr.reshape(-1, 2)
-    out = np.empty(len(flat_p), dtype=np.bool_)
-    for i in range(len(flat_p)):
-        # Scalar np.hypot on purpose: it is the same libm primitive the
-        # vectorised path uses, so exact-boundary pairs classify identically
-        # (math.hypot is a different algorithm, off by 1 ULP on ~0.5% of
-        # inputs).
-        out[i] = float(
-            np.hypot(flat_p[i, 0] - flat_c[i, 0], flat_p[i, 1] - flat_c[i, 1])
-        ) <= radius
-    return out.reshape(pts.shape[:-1])
-
-
-def _reference_count_in_balls(owners: np.ndarray, n_owners: int) -> np.ndarray:
-    out = np.zeros(int(n_owners), dtype=np.intp)
-    for owner in owners.tolist():
-        out[owner] += 1
-    return out
-
-
-def _reference_pair_candidates(
-    owners: np.ndarray, members: np.ndarray, n_owners: int, member_bound: int
-) -> List[np.ndarray]:
-    groups: List[List[int]] = [[] for _ in range(int(n_owners))]
-    for owner, member in zip(owners.tolist(), members.tolist()):
-        groups[owner].append(member)
-    return [np.array(sorted(group), dtype=np.int64) for group in groups]
-
-
-def _reference_splice_edges(
-    parts: Sequence[Union[np.ndarray, Sequence[Tuple[int, int]]]]
-) -> np.ndarray:
-    edges = set()
-    for part in parts:
-        arr = np.asarray(part, dtype=np.int64).reshape(-1, 2)
-        edges.update((int(a), int(b)) for a, b in arr)
-    if not edges:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(sorted(edges), dtype=np.int64)
-
-
-def _reference_step_events(
-    times: np.ndarray,
-    seqs: np.ndarray,
-    until: Optional[float],
-    max_events: Optional[int],
-) -> np.ndarray:
-    t = times.tolist()
-    s = seqs.tolist()
-    order = sorted(range(len(t)), key=lambda i: (t[i], s[i]))
-    if until is not None:
-        order = list(takewhile(lambda i: t[i] <= until, order))
-    if max_events is not None:
-        order = order[: max(0, int(max_events))]
-    return np.array(order, dtype=np.intp)
-
-
-register_backend(
-    "numpy",
-    lambda: KernelBackend(
-        "numpy",
-        {
-            "cell_gather": _numpy_cell_gather,
-            "within_ball_mask": _numpy_within_ball_mask,
-            "count_in_balls": _numpy_count_in_balls,
-            "pair_candidates": _numpy_pair_candidates,
-            "splice_edges": _numpy_splice_edges,
-            "step_events": _numpy_step_events,
-        },
-    ),
-)
-
-register_backend(
-    "reference",
-    lambda: KernelBackend(
-        "reference",
-        {
-            "cell_gather": _reference_cell_gather,
-            "within_ball_mask": _reference_within_ball_mask,
-            "count_in_balls": _reference_count_in_balls,
-            "pair_candidates": _reference_pair_candidates,
-            "splice_edges": _reference_splice_edges,
-            "step_events": _reference_step_events,
-        },
-    ),
-)

@@ -2,7 +2,7 @@
 
 The profiler is how the S06 benchmark (and anyone chasing a regression)
 attributes wall time to individual kernels instead of whole queries.  It is
-strictly opt-in: with no profiler installed the kernel dispatchers in
+strictly opt-in: with no profiler installed the kernels in
 :mod:`repro.kernels.ops` pay one ``None`` check per call and nothing else.
 
 The clock is injected (default ``time.perf_counter_ns`` — a monotonic
@@ -74,7 +74,7 @@ def profiled(profiler: Optional[KernelProfiler] = None) -> Iterator[KernelProfil
     """Install ``profiler`` (a fresh one if omitted) for the duration.
 
     Nests: the previous profiler is restored on exit, so a benchmark can
-    scope counters per backend arm.
+    scope counters per arm.
     """
     global _ACTIVE
     prof = KernelProfiler() if profiler is None else profiler

@@ -258,6 +258,84 @@ class TestGridInternals:
                     call()
 
 
+class TestKDTreeOverflowRegime:
+    """The kdtree overflow fallback is decided before scipy is called.
+
+    scipy's tree raises on coordinate spreads whose squared extent overflows
+    float64; with ``workers=-1`` it raises inside a worker thread, which
+    swallows the error and returns ``None`` hit lists or garbage counts.
+    Each query below must answer exactly on the serial (one center) and the
+    threaded (several centers) path, with no exception in any thread.
+    """
+
+    # The second point alone puts the tree's squared extent past float64.
+    WIDE = np.array([[0.0, 0.0], [1e170, 0.0], [1e170, 1e150], [0.5, 0.0]])
+
+    @pytest.fixture(autouse=True)
+    def thread_errors(self, monkeypatch):
+        import threading
+
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", lambda args: errors.append(args.exc_value))
+        yield errors
+        assert errors == []
+
+    def _expected(self, pts, centers, radius):
+        return [_brute_ball(pts, c, radius).tolist() for c in centers]
+
+    @pytest.mark.parametrize("n_centers", [1, 4], ids=["serial", "threaded"])
+    def test_query_radius_many_wide_tree(self, n_centers):
+        tree = KDTreeIndex(self.WIDE)
+        centers = self.WIDE[:n_centers]
+        got = [a.tolist() for a in tree.query_radius_many(centers, 1e160)]
+        assert got == self._expected(self.WIDE, centers, 1e160)
+
+    @pytest.mark.parametrize("n_centers", [1, 4], ids=["serial", "threaded"])
+    def test_count_radius_many_wide_tree(self, n_centers):
+        tree = KDTreeIndex(self.WIDE)
+        centers = self.WIDE[:n_centers]
+        want = [len(e) for e in self._expected(self.WIDE, centers, 1e160)]
+        assert tree.count_radius_many(centers, 1e160).tolist() == want
+
+    @pytest.mark.parametrize("n_centers", [1, 3], ids=["serial", "threaded"])
+    def test_far_centers_against_compact_tree(self, n_centers):
+        # The tree alone fits; the query centers push the extent past it.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        centers = np.array([[1e170, 0.0], [0.0, 0.0], [0.5, 0.5]])[:n_centers]
+        tree = KDTreeIndex(pts)
+        got = [a.tolist() for a in tree.query_radius_many(centers, 1.0)]
+        assert got == self._expected(pts, centers, 1.0)
+        assert tree.count_radius_many(centers, 1.0).tolist() == [len(e) for e in got]
+
+    @pytest.mark.parametrize("radius", [1.0, 1e160, 1e170])
+    def test_query_pairs_wide_tree(self, radius):
+        got = KDTreeIndex(self.WIDE).query_pairs(radius).tolist()
+        want = [
+            [i, j]
+            for i, hits in enumerate(self._expected(self.WIDE, self.WIDE, radius))
+            for j in hits
+            if i < j
+        ]
+        assert got == want
+
+    @pytest.mark.parametrize("axis", [(1.0, 0.0), (1.0, 1.0)], ids=["axis", "diagonal"])
+    def test_decision_brackets_scipys_overflow(self, axis):
+        # Sweep spreads across the threshold: wherever the decision hands a
+        # query to scipy, scipy must not raise, and spreads well inside the
+        # float64 range must keep the tree path.
+        from scipy.spatial import cKDTree
+
+        for spread in np.geomspace(1e153, 1e155, 33):
+            pts = np.array([[0.0, 0.0], [spread * axis[0], spread * axis[1]]])
+            if not KDTreeIndex(pts)._tree_fits(pts):
+                assert spread > 5e153
+                continue
+            tree = cKDTree(pts)
+            tree.query_ball_point(pts, 1.0)
+            tree.query_ball_point(pts, 1.0, return_length=True)
+            tree.query_pairs(1.0)
+
+
 class TestQueryNearest:
     def test_backends_agree_with_brute_force(self, rng):
         pts = rng.uniform(0, 10, size=(200, 2))
