@@ -156,6 +156,8 @@ class DistributedRepairEngine:
         self._relays: Dict[TileIndex, Dict[str, int]] = {}
         #: (tile, direction) → spliced overlay edges of that good pair.
         self._pair_edges: Dict[Tuple[TileIndex, str], List[Tuple[int, int]]] = {}
+        #: The spliced :meth:`result`, memoised until the next non-empty update.
+        self._result: Optional[DistributedBuildResult] = None
 
         index.consume_dirty()
         self._full_pass()
@@ -281,6 +283,7 @@ class DistributedRepairEngine:
             # An empty diff provably cannot change any tile: true no-op —
             # no dirty-set bookkeeping, no stats churn, no protocol rounds.
             return RepairReport(0, 0, 0, 0, 0)
+        self._result = None
         messages_before = self.stats.messages_sent
 
         dirty_tiles: Set[TileIndex] = set()
@@ -342,19 +345,24 @@ class DistributedRepairEngine:
         ``(min, max)`` pairs exactly as the from-scratch result's.  ``stats``
         is the engine's *cumulative* protocol accounting: the initial full
         pass plus every repair since.
+
+        The result is spliced once and then returned as the same object
+        until the next non-empty :meth:`update`; treat it as read-only.
         """
-        # Canonical sorted unique pairs from the per-(tile, direction) edge
-        # fragments — the splice_edges kernel replaces the scalar
-        # set-union + sorted() splice byte-identically.
-        edge_array = kernel_ops.splice_edges(list(self._pair_edges.values()))
-        good_tiles = sorted(self._good)
-        return DistributedBuildResult(
-            edges=edge_array,
-            representatives={tile: self._leaders[tile][self._rep_region] for tile in good_tiles},
-            relays={tile: dict(self._relays[tile]) for tile in good_tiles},
-            good_tiles=good_tiles,
-            stats=self.stats,
-        )
+        if self._result is None:
+            # Canonical sorted unique pairs from the per-(tile, direction) edge
+            # fragments — the splice_edges kernel replaces the scalar
+            # set-union + sorted() splice byte-identically.
+            edge_array = kernel_ops.splice_edges(list(self._pair_edges.values()))
+            good_tiles = sorted(self._good)
+            self._result = DistributedBuildResult(
+                edges=edge_array,
+                representatives={tile: self._leaders[tile][self._rep_region] for tile in good_tiles},
+                relays={tile: dict(self._relays[tile]) for tile in good_tiles},
+                good_tiles=good_tiles,
+                stats=self.stats,
+            )
+        return self._result
 
     def matches_rebuild(self, scratch: DistributedBuildResult | None = None) -> bool:
         """Whether the spliced state equals a from-scratch ``distributed_build``.

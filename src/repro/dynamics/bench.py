@@ -16,7 +16,12 @@ both backends, asserting byte equality.  Arm two times the diff-driven
 :class:`~repro.distributed.repair.DistributedRepairEngine` against a full
 :func:`~repro.distributed.construct.distributed_build` per step under sparse
 motion (~1% of nodes per step), asserting the spliced result equals the
-from-scratch build.
+from-scratch build.  Arm three reports absolute
+:meth:`~repro.dynamics.topology.TopologyTracker.update` milliseconds per tick
+(median and IQR) at fixed density — λ=20, 16 nodes moved by up to ±0.3 per
+axis per tick, the serve workload's move model — for several deployment
+sizes, so a tracker cost that grows with E instead of with the dirty set
+shows as a slope across the rows; every size must still match a recompute.
 
 Both register through :mod:`repro.runner` like S01: rows carry wall-clock
 timings and are not byte-stable across recomputations; the agreement
@@ -27,7 +32,7 @@ hit (``--force`` re-measures).
 from __future__ import annotations
 
 import time
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -38,6 +43,7 @@ from repro.distributed.construct import distributed_build
 from repro.distributed.repair import DistributedRepairEngine
 from repro.dynamics.incremental import DynamicSpatialIndex
 from repro.dynamics.mobility import reflect_into
+from repro.dynamics.topology import TopologyTracker
 from repro.geometry.index import BACKENDS, build_index
 from repro.geometry.poisson import poisson_points
 from repro.geometry.primitives import Rect
@@ -47,6 +53,13 @@ __all__ = [
     "experiment_s02_incremental_maintenance",
     "experiment_s03_repair_fast_path",
 ]
+
+#: The S03 tracker arm's fixed workload: deployment intensity, nodes moved
+#: per tick, per-axis move bound and timed ticks per size.
+_TRACKER_INTENSITY = 20.0
+_TRACKER_DIRTY = 16
+_TRACKER_STEP = 0.3
+_TRACKER_TICKS = 40
 
 
 @register("S02")
@@ -223,6 +236,7 @@ def experiment_s03_repair_fast_path(
     intensity: float = 2.0,
     repeats: int = 2,
     seed: int = 305,
+    tracker_sizes: Sequence[int] = (400, 4000, 40000),
 ) -> ExperimentResult:
     """Repair fast paths: vectorised dynamic bulk queries + diff-driven rebuild.
 
@@ -252,9 +266,14 @@ def experiment_s03_repair_fast_path(
         Timing repetitions per arm (best-of).
     seed:
         RNG seed for the deployment, the churn and the move plan.
+    tracker_sizes:
+        Expected deployment sizes of the tracker arm (λ=20, so the window
+        side is ``sqrt(size / 20)``).
     """
     if n_points < 1 or n_centers < 1 or n_steps < 1:
         raise ValueError("n_points, n_centers and n_steps must be positive")
+    if any(size < 1 for size in tracker_sizes):
+        raise ValueError("tracker_sizes must be positive")
     if radius <= 0 or intensity <= 0:
         raise ValueError("radius and intensity must be positive")
     if not 0 < move_fraction <= 1 or move_scale <= 0:
@@ -271,6 +290,7 @@ def experiment_s03_repair_fast_path(
         "repair_speedup_vs_rebuild": None,
         "bulk_results_agree": None,
         "repair_results_agree": None,
+        "tracker_results_agree": None,
     }
     if len(pts) < 2:
         return ExperimentResult(
@@ -367,6 +387,37 @@ def experiment_s03_repair_fast_path(
     # build over the final positions, id-mapped.
     headline["repair_results_agree"] = bool(engine.matches_rebuild())
 
+    # -- Arm three: TopologyTracker.update per tick across deployment sizes ----
+    tracker_agree = True
+    for size in tracker_sizes:
+        side = float(np.sqrt(size / _TRACKER_INTENSITY))
+        tracker_window = Rect(0, 0, side, side)
+        dyn = DynamicSpatialIndex(
+            poisson_points(tracker_window, _TRACKER_INTENSITY, rng), radius=spec.connection_radius
+        )
+        tracker = TopologyTracker(dyn, spec.connection_radius)
+        tick_ms: List[float] = []
+        for _ in range(_TRACKER_TICKS):
+            movers = np.sort(rng.choice(dyn.ids(), size=min(_TRACKER_DIRTY, len(dyn)), replace=False))
+            step = rng.uniform(-_TRACKER_STEP, _TRACKER_STEP, size=(len(movers), 2))
+            dyn.move(movers, reflect_into(dyn.id_positions()[movers] + step, tracker_window))
+            started = time.perf_counter()
+            tracker.update()
+            tick_ms.append((time.perf_counter() - started) * 1e3)
+        tracker_agree = tracker_agree and tracker.matches_recompute()
+        q1, median, q3 = np.percentile(tick_ms, [25, 50, 75])
+        rows.append(
+            {
+                "arm": "tracker",
+                "n_nodes": len(dyn),
+                "n_edges": tracker.n_edges,
+                "update_ms_p50": round(float(median), 3),
+                "update_ms_iqr": round(float(q3 - q1), 3),
+            }
+        )
+    if tracker_sizes:
+        headline["tracker_results_agree"] = bool(tracker_agree)
+
     return ExperimentResult(
         experiment_id="S03",
         title="Repair fast path: diff-driven rebuild + vectorised bulk queries",
@@ -379,6 +430,8 @@ def experiment_s03_repair_fast_path(
             "so both backends exercise their patched structures; the repair arm's "
             "clock covers index moves + engine repair vs a full distributed_build "
             "per step under sparse motion.  The repair advantage grows with "
-            "deployment size and shrinks as move_fraction approaches 1.",
+            "deployment size and shrinks as move_fraction approaches 1.  The tracker "
+            "arm's clock covers TopologyTracker.update only (index moves untimed); "
+            "its rows are absolute per-tick times, not ratios.",
         ],
     )

@@ -24,8 +24,13 @@ falling back to recompute-and-diff when the step touched so many nodes that
 the locality bound would visit everything anyway.
 
 Edges travel in stable *node-id* space (pairs ``(i, j)``, ``i < j``,
-lexicographic), encoded internally as single int64 keys so diffs are set
-operations on sorted arrays.
+lexicographic), encoded internally as int64 keys ``i * 2**31 + j`` so diffs
+are set operations on sorted arrays.  The UDG tracker stores every edge
+twice, as ``i → j`` and ``j → i``, in one sorted array: node ``a``'s edges
+are then the contiguous slice between ``a * 2**31`` and ``(a + 1) * 2**31``,
+so an update reads and rewrites only the dirty nodes' slices.  What remains
+O(E) per changed step is the memmove that writes the change back into the
+store (``np.delete`` then ``np.insert``).
 """
 
 from __future__ import annotations
@@ -64,6 +69,24 @@ def _decode(keys: np.ndarray) -> np.ndarray:
     if len(keys) == 0:
         return _EMPTY_EDGES.copy()
     return np.column_stack([keys // _ENC, keys % _ENC])
+
+
+def _both_ways(keys: np.ndarray) -> np.ndarray:
+    """Sorted directed keys holding each canonical key ``i*2³¹+j`` as both ``i→j`` and ``j→i``."""
+    return np.sort(np.concatenate([keys, keys % _ENC * _ENC + keys // _ENC]))
+
+
+def _take_diff(
+    index: DynamicSpatialIndex, dirty: np.ndarray | None, deleted: np.ndarray | None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One update's ``(dirty, deleted)`` ids: as passed, or consumed from ``index``."""
+    if (dirty is None) != (deleted is None):
+        raise ValueError("pass both dirty and deleted (one consumed stream), or neither")
+    if len(index.id_positions()) > _ENC:
+        raise ValueError("node ids past 2**31 cannot be edge-encoded")
+    if dirty is None:
+        dirty, deleted = index.consume_dirty()
+    return np.asarray(dirty, dtype=np.int64).reshape(-1), np.asarray(deleted, dtype=np.int64).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -114,17 +137,26 @@ class TopologyTracker:
         self.index = index
         self.radius = float(radius)
         index.consume_dirty()  # updates before tracking started are not diffs
-        self._edge_keys = (
-            _encode(index.query_pairs(self.radius)) if self.radius > 0 else _EMPTY_KEYS.copy()
-        )
+        #: Canonical ``i < j`` keys, derived from the directed store on demand.
+        self._canonical: np.ndarray | None = self._recompute()
+        self._directed = _both_ways(self._canonical)
+
+    def _recompute(self) -> np.ndarray:
+        return _encode(self.index.query_pairs(self.radius)) if self.radius > 0 else _EMPTY_KEYS
+
+    def _keys(self) -> np.ndarray:
+        if self._canonical is None:
+            keys = self._directed
+            self._canonical = keys[keys // _ENC < keys % _ENC]
+        return self._canonical
 
     @property
     def n_edges(self) -> int:
-        return len(self._edge_keys)
+        return len(self._directed) // 2
 
     def edges(self) -> np.ndarray:
         """Current ``(m, 2)`` edge array (id space, lexicographic)."""
-        return _decode(self._edge_keys)
+        return _decode(self._keys())
 
     def update(
         self, dirty: np.ndarray | None = None, deleted: np.ndarray | None = None
@@ -132,9 +164,10 @@ class TopologyTracker:
         """Repair the edge set after index updates; returns what changed.
 
         Only edges incident to a dirty (moved/inserted) or deleted node are
-        re-examined: the dirty nodes' closed balls are re-queried with one
-        bulk query and every stale incident edge is dropped.  Edges between
-        two untouched nodes are provably unchanged and never visited.
+        re-examined: they are read off those nodes' contiguous slices of the
+        directed store, the dirty nodes' closed balls are re-queried with one
+        bulk query, and the difference is spliced back.  Edges between two
+        untouched nodes are provably unchanged and never visited.
 
         With no arguments the tracker consumes the index's own dirty stream;
         pass an already-consumed ``(dirty, deleted)`` pair explicitly when
@@ -143,47 +176,38 @@ class TopologyTracker:
         the same stream.  Passing only one of the two is rejected — it would
         silently drop the other half of the diff.
         """
-        if (dirty is None) != (deleted is None):
-            raise ValueError(
-                "pass both dirty and deleted (one consumed stream), or neither"
-            )
-        if dirty is None:
-            dirty, deleted = self.index.consume_dirty()
-        dirty = np.asarray(dirty, dtype=np.int64).reshape(-1)
-        deleted = np.asarray(deleted, dtype=np.int64).reshape(-1)
+        dirty, deleted = _take_diff(self.index, dirty, deleted)
         if dirty.size == 0 and deleted.size == 0:
             return EdgeDiff(_EMPTY_EDGES.copy(), _EMPTY_EDGES.copy())
-        alive = self.index.ids()
-        if alive.size and alive[-1] >= _ENC:
-            raise ValueError("node ids past 2**31 cannot be edge-encoded")
         affected = np.union1d(dirty, deleted)
-        current = self._edge_keys
-        incident = np.isin(current // _ENC, affected) | np.isin(current % _ENC, affected)
+        keys = self._directed
+        bounds = np.searchsorted(keys, np.stack([affected, affected + 1]) * _ENC).tolist()
+        incident = np.concatenate([keys[lo:hi] for lo, hi in zip(*bounds)])
+        src, dst = incident // _ENC, incident % _ENC
+        old = np.unique(np.minimum(src, dst) * _ENC + np.maximum(src, dst))
 
-        parts = []
+        fresh = _EMPTY_KEYS
         if self.radius > 0 and dirty.size:
-            centers = self.index.id_positions()[dirty]
-            for node_id, nbrs in zip(
-                dirty.tolist(), self.index.query_radius_many(centers, self.radius)
-            ):
-                nbrs = nbrs[nbrs != node_id]
-                if nbrs.size:
-                    lo = np.minimum(nbrs, node_id)
-                    hi = np.maximum(nbrs, node_id)
-                    parts.append(lo * _ENC + hi)
-        fresh = np.unique(np.concatenate(parts)) if parts else _EMPTY_KEYS
+            balls = self.index.query_radius_many(self.index.id_positions()[dirty], self.radius)
+            parts = [np.minimum(b, x) * _ENC + np.maximum(b, x) for x, b in zip(dirty.tolist(), balls)]
+            # Sorted unique, without each ball's own self-loop key x*2³¹+x.
+            fresh = np.setdiff1d(np.concatenate(parts), dirty * (_ENC + 1))
 
-        added = np.setdiff1d(fresh, current, assume_unique=True)
-        removed = np.setdiff1d(current[incident], fresh, assume_unique=True)
-        self._edge_keys = np.union1d(current[~incident], fresh)
+        added = np.setdiff1d(fresh, old, assume_unique=True)
+        removed = np.setdiff1d(old, fresh, assume_unique=True)
+        if added.size or removed.size:
+            kept = np.delete(keys, np.searchsorted(keys, _both_ways(removed)))
+            add = _both_ways(added)
+            self._directed = np.insert(kept, np.searchsorted(kept, add), add)
+            self._canonical = None
         return EdgeDiff(_decode(added), _decode(removed))
 
     def matches_recompute(self) -> bool:
-        """Whether the maintained edge set equals a from-scratch recompute."""
-        expected = (
-            _encode(self.index.query_pairs(self.radius)) if self.radius > 0 else _EMPTY_KEYS
+        """Whether both orientations of the maintained edges equal a recompute."""
+        expected = self._recompute()
+        return np.array_equal(self._keys(), expected) and np.array_equal(
+            self._directed, _both_ways(expected)
         )
-        return np.array_equal(self._edge_keys, expected)
 
     def graph(self, name: str | None = None) -> GeometricGraph:
         """Materialise the current topology as a compacted :class:`GeometricGraph`.
@@ -193,7 +217,7 @@ class TopologyTracker:
         order), so metrics line up with ``index.positions()``.
         """
         ids = self.index.ids()
-        edges = _decode(self._edge_keys)
+        edges = self.edges()
         remapped = np.searchsorted(ids, edges) if len(edges) else _EMPTY_EDGES.copy()
         return GeometricGraph(
             self.index.positions().copy(),
@@ -298,8 +322,6 @@ class KnnTopologyTracker:
     # -- incremental repair ------------------------------------------------------
     def _repair(self, dirty: np.ndarray, deleted: np.ndarray) -> np.ndarray:
         ids = self.index.ids()
-        if ids.size and ids[-1] >= _ENC:
-            raise ValueError("node ids past 2**31 cannot be edge-encoded")
         pts_by_id = self.index.id_positions()
         k_eff = self._k_eff
 
@@ -403,14 +425,7 @@ class KnnTopologyTracker:
         is rejected; an empty diff is a true no-op (no affected-set
         bookkeeping, no repair/recompute accounting).
         """
-        if (dirty is None) != (deleted is None):
-            raise ValueError(
-                "pass both dirty and deleted (one consumed stream), or neither"
-            )
-        if dirty is None:
-            dirty, deleted = self.index.consume_dirty()
-        dirty = np.asarray(dirty, dtype=np.int64).reshape(-1)
-        deleted = np.asarray(deleted, dtype=np.int64).reshape(-1)
+        dirty, deleted = _take_diff(self.index, dirty, deleted)
         if dirty.size == 0 and deleted.size == 0:
             return EdgeDiff(_EMPTY_EDGES.copy(), _EMPTY_EDGES.copy())
         old_keys = self._edge_keys

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dynamics.incremental import DynamicSpatialIndex
-from repro.dynamics.topology import EdgeDiff, KnnTopologyTracker, TopologyTracker
+from repro.dynamics.topology import EdgeDiff, KnnTopologyTracker, TopologyTracker, _decode, _encode
 from repro.geometry.index import BACKENDS
 from repro.graphs.knn import knn_edges
 from repro.graphs.udg import udg_edges
@@ -104,6 +104,88 @@ class TestTopologyTracker:
         dyn = DynamicSpatialIndex(rng.uniform(0, 2, size=(3, 2)), radius=1.0)
         with pytest.raises(ValueError):
             TopologyTracker(dyn, -1.0)
+
+
+def _recomputed_keys(dyn: DynamicSpatialIndex, radius: float) -> np.ndarray:
+    if radius == 0:
+        return np.zeros(0, dtype=np.int64)
+    return _encode(dyn.query_pairs(radius))
+
+
+def _tick(tracker: TopologyTracker, mutate) -> EdgeDiff:
+    """Apply ``mutate`` to the index, update, and check the tick array for array."""
+    dyn, radius = tracker.index, tracker.radius
+    before = _recomputed_keys(dyn, radius)
+    mutate(dyn)
+    diff = tracker.update()
+    after = _recomputed_keys(dyn, radius)
+    assert np.array_equal(diff.added, _decode(np.setdiff1d(after, before)))
+    assert np.array_equal(diff.removed, _decode(np.setdiff1d(before, after)))
+    assert diff.added.dtype == diff.removed.dtype == np.int64
+    assert tracker.n_edges == len(after)
+    assert np.array_equal(tracker.edges(), _decode(after))
+    assert tracker.matches_recompute()
+    return diff
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestTopologyTrackerBytes:
+    """Every diff, edge count and edge array equals a from-scratch recompute."""
+
+    def test_move_insert_delete_ticks(self, backend, rng):
+        dyn = DynamicSpatialIndex(rng.uniform(0, 8, size=(120, 2)), radius=RADIUS, backend=backend)
+        tracker = TopologyTracker(dyn, RADIUS)
+
+        def move(d):
+            movers = np.sort(rng.choice(d.ids(), size=12, replace=False))
+            d.move(movers, d.id_positions()[movers] + rng.normal(0, 0.6, size=(12, 2)))
+
+        def insert(d):
+            d.insert(rng.uniform(0, 8, size=(5, 2)))
+
+        def delete(d):
+            d.delete(rng.choice(d.ids(), size=5, replace=False))
+
+        for mutate in (move, insert, delete) * 4:
+            _tick(tracker, mutate)
+        _tick(tracker, lambda d: (move(d), insert(d), delete(d)))
+
+    def test_two_adjacent_dirty_nodes_in_one_tick(self, backend):
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [1.2, 0.0], [5.0, 5.0]])
+        tracker = TopologyTracker(DynamicSpatialIndex(pts, radius=1.0, backend=backend), 1.0)
+        # Nodes 0 and 1 stay adjacent to each other, 1 leaves 2, and both meet
+        # 3 (node 1 exactly on the closed ball's boundary).
+        diff = _tick(tracker, lambda d: d.move([0, 1], np.array([[4.5, 5.0], [4.0, 5.0]])))
+        assert diff.added.tolist() == [[0, 3], [1, 3]]
+        assert diff.removed.tolist() == [[1, 2]]
+
+    def test_delete_isolated_node(self, backend):
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [9.0, 9.0]])
+        tracker = TopologyTracker(DynamicSpatialIndex(pts, radius=1.0, backend=backend), 1.0)
+        assert _tick(tracker, lambda d: d.delete([2])).churn == 0
+
+    def test_delete_everything_then_insert_again(self, backend, rng):
+        dyn = DynamicSpatialIndex(rng.uniform(0, 4, size=(40, 2)), radius=RADIUS, backend=backend)
+        tracker = TopologyTracker(dyn, RADIUS)
+        n_before = tracker.n_edges
+        diff = _tick(tracker, lambda d: d.delete(d.ids()))
+        assert diff.n_removed == n_before and tracker.n_edges == 0
+        _tick(tracker, lambda d: d.insert(rng.uniform(0, 4, size=(30, 2))))
+        assert tracker.n_edges > 0
+
+    def test_radius_zero(self, backend):
+        pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+        tracker = TopologyTracker(DynamicSpatialIndex(pts, radius=0.0, backend=backend), 0.0)
+        _tick(tracker, lambda d: d.move([2], np.array([[1.0, 1.0]])))
+        _tick(tracker, lambda d: d.insert(np.array([[1.0, 1.0]])))
+        assert tracker.n_edges == 0
+
+    def test_empty_tick(self, backend, rng):
+        dyn = DynamicSpatialIndex(rng.uniform(0, 5, size=(30, 2)), radius=RADIUS, backend=backend)
+        tracker = TopologyTracker(dyn, RADIUS)
+        edges = tracker.edges()
+        assert _tick(tracker, lambda d: None).churn == 0
+        assert np.array_equal(tracker.edges(), edges)
 
 
 class TestKnnTopologyTracker:

@@ -185,14 +185,15 @@ class TestS02:
 class TestS03:
     def test_small_run_agrees_on_both_arms(self):
         result = experiment_s03_repair_fast_path(
-            n_points=400, n_centers=800, n_steps=3, repeats=1, seed=6
+            n_points=400, n_centers=800, n_steps=3, repeats=1, seed=6, tracker_sizes=(300,)
         )
         assert result.headline["bulk_results_agree"] is True
         assert result.headline["repair_results_agree"] is True
+        assert result.headline["tracker_results_agree"] is True
         assert isinstance(result.headline["bulk_speedup_grid"], float)
         assert isinstance(result.headline["bulk_speedup_kdtree"], float)
         assert isinstance(result.headline["repair_speedup_vs_rebuild"], float)
-        assert {row["arm"] for row in result.rows} == {"bulk", "repair"}
+        assert {row["arm"] for row in result.rows} == {"bulk", "repair", "tracker"}
         json.dumps(result_to_payload(result), allow_nan=False)
 
     def test_invalid_parameters_rejected(self):
@@ -202,6 +203,8 @@ class TestS03:
             experiment_s03_repair_fast_path(move_fraction=0.0)
         with pytest.raises(ValueError):
             experiment_s03_repair_fast_path(churn_count=-1)
+        with pytest.raises(ValueError):
+            experiment_s03_repair_fast_path(tracker_sizes=(0,))
 
 
 class TestRunnerIntegration:

@@ -133,6 +133,30 @@ class TestQueries:
         assert world.coverage(np.array([[100.0, 100.0]]), sensing_radius=0.5) == 0.0
 
 
+class TestMemoisedOverlay:
+    def test_result_after_a_tick_equals_a_fresh_splice(self, rng):
+        positions = rng.uniform(0.0, 8.0, size=(600, 2))
+        world = LiveWorld(positions, WorldConfig(window_xmax=8.0, window_ymax=8.0))
+        first = world.engine.result()
+        assert world.engine.result() is first  # memoised between ticks
+        batcher = TickBatcher()
+        requests = [Request(op="move", node=i, position=(float(i % 8), 4.0)) for i in range(8)]
+        requests += [Request(op="delete", node=20), Request(op="insert", position=(2.5, 2.5))]
+        _apply(world, batcher, requests)
+        after = world.engine.result()
+        assert after is not first
+        assert world.engine.matches_rebuild()
+        # An empty update keeps the memoised result.
+        empty = np.zeros(0, dtype=np.int64)
+        world.engine.update(dirty=empty, deleted=empty)
+        assert world.engine.result() is after
+
+        clone = LiveWorld.from_state(world.state())
+        reps = sorted(after.representatives.values())
+        for source, target in zip(reps[:10], reps[::-1][:10]):
+            assert world.route(source, target) == clone.route(source, target)
+
+
 class TestStateRoundTrip:
     def test_digest_identical_after_restore(self, world):
         _apply(
