@@ -1,10 +1,11 @@
 """S06 — kernel-layer throughput and byte-identity against the scalar loops.
 
-Times the three hottest kernels (``cell_gather``, ``within_ball_mask``,
-``step_events``) in numpy form and in the scalar form they replaced
-(``repro.kernels.reference``), with profiler-attributed per-kernel
-timings, and replays an adversarial workload (exact-boundary distances,
-subnormal offsets, tie-heavy event times) through both.
+Times the four hottest kernels (``cell_gather``, ``within_ball_mask``,
+``splice_edges``, ``step_events``) in numpy form and in the scalar form
+they replaced (``repro.kernels.reference``), with profiler-attributed
+per-kernel timings, and replays an adversarial workload (exact-boundary distances,
+subnormal offsets, duplicated and reversed edge rows, tie-heavy event
+times) through both.
 
 Floors: the byte-identity certificate is hard-asserted (deterministic);
 the numpy kernels must beat the scalar reference by ≥2× on every profiled

@@ -15,6 +15,9 @@ by idiom co-occurrence *within one function*: a CSR-style gather
 (``argsort``/``lexsort`` feeding a ``split``).  Either combination is the
 signature of code re-implementing ``cell_gather``/``pair_candidates``;
 single uses of any of these functions are ubiquitous and never flagged.
+A third idiom is flagged per call: ``np.unique`` with an ``axis`` keyword
+is a hand-rolled edge splice (row-wise dedup) that belongs to
+``splice_edges``; the 1-D ``np.unique`` calls stay clean.
 """
 
 from __future__ import annotations
@@ -31,22 +34,26 @@ _GATHER_CALLS = {"numpy.searchsorted", "numpy.repeat"}
 #: (pair_candidates / sort_groups territory).
 _SORTS = {"numpy.argsort", "numpy.lexsort"}
 _REGROUP = "numpy.split"
+#: np.unique(..., axis=...): the row-wise dedup idiom (splice_edges territory).
+_UNIQUE = "numpy.unique"
 
 
 class InlineKernelIdiomRule(Rule):
     code = "REPRO801"
     name = "inline-kernel-idiom"
     summary = (
-        "No hand-rolled gather/regroup hot paths (searchsorted+repeat, "
-        "argsort/lexsort+split) outside repro.kernels; call the kernel layer."
+        "No hand-rolled gather/regroup/splice hot paths (searchsorted+repeat, "
+        "argsort/lexsort+split, np.unique(axis=...)) outside repro.kernels; "
+        "call the kernel layer."
     )
     rationale = (
         "The kernel layer (repro.kernels) carries the property-tested "
         "byte-identity certificates.  A function "
         "that re-rolls the CSR gather (np.searchsorted feeding np.repeat) or "
-        "the sort-and-regroup (np.argsort/np.lexsort feeding np.split) is a "
-        "hot path the certificates do not cover — route it through "
-        "kernels.ops (cell_gather / pair_candidates) or kernels.layout "
+        "the sort-and-regroup (np.argsort/np.lexsort feeding np.split), or "
+        "that dedups rows with np.unique(..., axis=...), is a hot path the "
+        "certificates do not cover — route it through kernels.ops "
+        "(cell_gather / pair_candidates / splice_edges) or kernels.layout "
         "(sort_groups) instead, or add the module to the allowlist if it is "
         "a sanctioned kernel home."
     )
@@ -64,6 +71,17 @@ class InlineKernelIdiomRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Call)
+                and ctx.qualified_name(node.func) == _UNIQUE
+                and any(kw.arg == "axis" for kw in node.keywords)
+            ):
+                yield ctx.finding(
+                    self,
+                    node,
+                    "np.unique(..., axis=...) hand-rolls an edge splice; orient "
+                    "the rows and call repro.kernels.ops.splice_edges",
+                )
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             calls: Set[str] = set()

@@ -876,12 +876,10 @@ class KDTreeIndex(_IndexBase):
         pairs = self._tree.query_pairs(r=_candidate_radius(radius), output_type="ndarray")
         if pairs.size == 0:
             return np.zeros((0, 2), dtype=np.int64)
-        pairs = pairs.astype(np.int64)
+        pairs = pairs.astype(np.int64, copy=False)
         pairs = pairs[within_ball(self.points[pairs[:, 0]], self.points[pairs[:, 1]], radius)]
-        if pairs.size == 0:
-            return np.zeros((0, 2), dtype=np.int64)
-        pairs = np.sort(pairs, axis=1)
-        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        # cKDTree reports each pair once with i < j, in no particular order.
+        return kernel_ops.splice_edges([pairs])
 
     def query_nearest(self, centers: np.ndarray, k: int) -> np.ndarray:
         """Indices of the ``k`` nearest stored points per center (``(q, k)``).

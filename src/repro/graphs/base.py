@@ -15,6 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.geometry.primitives import as_points
+from repro.kernels import ops as kernel_ops
 
 __all__ = ["GeometricGraph"]
 
@@ -52,9 +53,12 @@ class GeometricGraph:
             raise ValueError("edge endpoints out of range")
         if edges.size and np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loops are not allowed")
-        edges = np.sort(edges, axis=1)
-        edges = np.unique(edges, axis=0) if edges.size else edges
-        self.edges = edges
+        # Orient rows smaller-first; builder output already is, so this
+        # copies only for hand-made edge lists.
+        flipped = edges[:, 0] > edges[:, 1]
+        if flipped.any():
+            edges = np.where(flipped[:, None], edges[:, ::-1], edges)
+        self.edges = kernel_ops.splice_edges([edges])
 
     # -- basic accessors ------------------------------------------------------
     @property

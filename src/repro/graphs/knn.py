@@ -17,6 +17,7 @@ import numpy as np
 from repro.geometry.index import build_index
 from repro.geometry.primitives import as_points
 from repro.graphs.base import GeometricGraph
+from repro.kernels import ops as kernel_ops
 
 __all__ = ["knn_neighbour_indices", "knn_edges", "build_knn"]
 
@@ -57,28 +58,28 @@ def knn_neighbour_indices(points: np.ndarray, k: int, backend: str = "kdtree") -
     index = build_index(pts, backend=backend, cell_size=_knn_cell_size(pts, k_eff))
     # Query k_eff + 1 because the nearest hit is the point itself.
     idx = index.query_nearest(pts, k_eff + 1)
+    # Move each row's own index (when present) to the back, keeping the
+    # others in nearest-first order: a stable sort of the "is self" flags.
+    is_self = idx == np.arange(n, dtype=idx.dtype)[:, None]
+    order = np.argsort(is_self, axis=1, kind="stable")[:, :k_eff]
     neighbours = np.full((n, k), -1, dtype=np.int64)
-    for i in range(n):
-        row = idx[i]
-        row = row[row != i][:k_eff]
-        neighbours[i, : len(row)] = row
+    neighbours[:, :k_eff] = np.take_along_axis(idx, order, axis=1)
     return neighbours
 
 
 def knn_edges(points: np.ndarray, k: int, backend: str = "kdtree") -> np.ndarray:
     """Undirected edge list of ``NN(2, k)`` on the given point set."""
     pts = as_points(points)
-    neighbours = knn_neighbour_indices(pts, k, backend=backend)
-    if neighbours.size == 0:
+    # Every row holds exactly min(k, n - 1) neighbours; padding is whole columns.
+    k_eff = min(k, len(pts) - 1)
+    if k_eff <= 0:
         return np.zeros((0, 2), dtype=np.int64)
-    sources = np.repeat(np.arange(len(pts), dtype=np.int64), neighbours.shape[1])
-    targets = neighbours.ravel()
-    valid = targets >= 0
-    pairs = np.column_stack([sources[valid], targets[valid]])
-    if pairs.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    pairs = np.sort(pairs, axis=1)
-    return np.unique(pairs, axis=0)
+    targets = knn_neighbour_indices(pts, k, backend=backend)[:, :k_eff]
+    sources = np.arange(len(pts), dtype=np.int64)[:, None]
+    pairs = np.empty((len(pts), k_eff, 2), dtype=np.int64)
+    np.minimum(sources, targets, out=pairs[..., 0])
+    np.maximum(sources, targets, out=pairs[..., 1])
+    return kernel_ops.splice_edges([pairs])
 
 
 def build_knn(

@@ -29,6 +29,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from repro.geometry.primitives import as_points, squared_distances
 from repro.graphs.base import GeometricGraph
 from repro.graphs.udg import udg_edges
+from repro.kernels import ops as kernel_ops
 
 __all__ = [
     "build_gabriel_graph",
@@ -42,10 +43,8 @@ def _candidate_edges(points: np.ndarray, base_edges: np.ndarray | None) -> np.nd
     """Candidate edge list: the base graph's edges, or all pairs if none given."""
     n = len(points)
     if base_edges is not None:
-        edges = np.asarray(base_edges, dtype=np.int64)
-        if edges.size == 0:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.unique(np.sort(edges, axis=1), axis=0)
+        edges = np.asarray(base_edges, dtype=np.int64).reshape(-1, 2)
+        return kernel_ops.splice_edges([np.sort(edges, axis=1)])
     if n < 2:
         return np.zeros((0, 2), dtype=np.int64)
     a, b = np.triu_indices(n, k=1)

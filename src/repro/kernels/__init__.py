@@ -1,7 +1,7 @@
-"""One structure-of-arrays compute layer under index, repair, shard and serve.
+"""One structure-of-arrays compute layer under graphs, index, repair, shard and serve.
 
 The hot inner loops of the stack — the grid cell-table gather, the exact
-closed-ball predicate, the repair/shard edge splice, and the event-queue
+closed-ball predicate, the canonical edge splice, and the event-queue
 stepping order — used to live hand-rolled inside their consumer modules, so
 every optimisation had to be re-implemented four times.  This package hoists
 them into one kernel vocabulary:

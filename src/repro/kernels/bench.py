@@ -1,20 +1,21 @@
 """S06 — kernel-layer throughput and byte-identity against the scalar loops.
 
-Times the three hottest kernels of the stack — ``cell_gather`` (the grid
+Times the four hottest kernels of the stack — ``cell_gather`` (the grid
 index's bulk candidate expansion), ``within_ball_mask`` (the exact
-closed-ball predicate) and ``step_events`` (the event queue's stepping
-order) — in their numpy form (:mod:`repro.kernels.ops`) and in the scalar
-form they replaced (:mod:`repro.kernels.reference`), attributing time per
-kernel through a :class:`~repro.kernels.profile.KernelProfiler` rather than
-timing whole queries.
+closed-ball predicate), ``splice_edges`` (every canonical edge array) and
+``step_events`` (the event queue's stepping order) — in their numpy form
+(:mod:`repro.kernels.ops`) and in the scalar form they replaced
+(:mod:`repro.kernels.reference`), attributing time per kernel through a
+:class:`~repro.kernels.profile.KernelProfiler` rather than timing whole
+queries.
 
 Two arms:
 
 * **Certificates** (deterministic): the numpy kernels are replayed on an
   adversarial workload — exact-boundary distances, radius-0 queries,
-  subnormal offsets, tie-heavy event times — and must answer
-  byte-identically to the scalar loops.  ``certificates_ok`` is the
-  headline the floor file hard-asserts.
+  subnormal offsets, duplicated and reversed edge rows, tie-heavy event
+  times — and must answer byte-identically to the scalar loops.
+  ``certificates_ok`` is the headline the floor file hard-asserts.
 * **Throughput** (wall-clock): each kernel is driven ``repeats`` times per
   implementation at size ``n``; the headline reports the numpy speedup
   over the scalar loop per kernel (``speedup_{kernel}_numpy``).
@@ -37,9 +38,9 @@ from repro.runner.registry import register
 
 __all__ = ["experiment_s06_kernels"]
 
-#: The profiled kernel set (the stack's three hottest inner loops), in the
+#: The profiled kernel set (the stack's four hottest inner loops), in the
 #: order :func:`_workload` returns their operands.
-PROFILED_KERNELS = ("cell_gather", "within_ball_mask", "step_events")
+PROFILED_KERNELS = ("cell_gather", "within_ball_mask", "splice_edges", "step_events")
 
 #: The timed implementations: row label -> module of same-named kernels.
 _IMPLEMENTATIONS: Dict[str, ModuleType] = {"numpy": ops, "reference": reference}
@@ -67,10 +68,15 @@ def _workload(n: int, seed: int):
     points[1 :: max(1, n // 64)] = [0.0, _SUBNORMAL]
     center = np.zeros(2)
     radius = _BOUNDARY_RADIUS
+    # splice_edges: n rows in three fragments — half drawn over a narrow id
+    # range, a quarter duplicating them, a quarter the duplicates reversed.
+    edges = rng.integers(0, max(2, n // 8), size=(n // 2, 2))
+    dup = edges[rng.integers(0, len(edges), size=n // 4)]
+    parts = [edges, dup, dup[:, ::-1]]
     # step_events: quantised times force heavy (time, sequence) ties.
     times = np.round(rng.uniform(0, n / 16, size=n), 1)
     seqs = rng.permutation(n).astype(np.int64)
-    return (table, queries, owners), (points, center, radius), (times, seqs)
+    return (table, queries, owners), (points, center, radius), (parts,), (times, seqs)
 
 
 def _certify(workload) -> bool:
@@ -160,9 +166,9 @@ def experiment_s06_kernels(
         notes=[
             "Speedups are wall-clock and vary between reruns; certificates_ok "
             "is deterministic — the numpy kernels answered the adversarial "
-            "workload (exact-boundary distances, subnormal offsets, tie-heavy "
-            "event times) byte-identically to the extracted scalar reference "
-            "loops.",
+            "workload (exact-boundary distances, subnormal offsets, duplicated "
+            "and reversed edge rows, tie-heavy event times) byte-identically "
+            "to the extracted scalar reference loops.",
             "Timings are profiler-attributed per-kernel nanoseconds "
             f"({repeats} calls per kernel per implementation at n={n}), not "
             "whole-query wall time.",

@@ -14,7 +14,10 @@ Every interpreter-bound inner loop of the stack reduces to one of these:
 * :func:`pair_candidates` — group matched (owner, member) pairs into one
   sorted member array per owner (the bulk query's tail).
 * :func:`splice_edges` — merge edge fragments into the canonical sorted,
-  duplicate-free ``(m, 2)`` pair array (repair re-splice, shard stitching).
+  duplicate-free ``(m, 2)`` pair array.  The one canonical edge-set path:
+  ``GeometricGraph`` construction, the kNN builder, the spanners' candidate
+  edges, the KD-tree ``query_pairs``, repair re-splice and shard stitching.
+  Endpoints must lie in ``[0, 2**31)`` (rows pack into one int64 key).
 * :func:`step_events` — total-order event scheduling: the pop order of a
   pending ``(time, sequence)`` batch (the ``EventQueue`` stepping loop).
 
@@ -148,6 +151,12 @@ def pair_candidates(
     return np.split(members, np.cumsum(per_owner)[:-1])
 
 
+#: Row packing radix of :func:`splice_edges`: a row ``(a, b)`` with both
+#: endpoints in ``[0, 2**31)`` packs to the int64 key ``a * 2**31 + b``,
+#: whose order is the rows' lexicographic order.
+_PACK = 1 << 31
+
+
 @_metered(lambda out, parts: out.nbytes)
 def splice_edges(
     parts: Sequence[Union[np.ndarray, Sequence[Tuple[int, int]]]]
@@ -155,20 +164,28 @@ def splice_edges(
     """Merge edge fragments into the canonical sorted unique ``(m, 2)`` array.
 
     Byte-identical to ``np.asarray(sorted(set(map(tuple, ...))))`` over the
-    pooled fragments — the scalar splice the repair engine and the shard
-    stitcher used to run.
+    pooled fragments.  Rows are taken as given (callers orient them); every
+    endpoint must lie in ``[0, 2**31)``, else ``ValueError``.  One sort of
+    packed int64 keys plus an adjacent-duplicate mask, decoded back into
+    rows; a single fragment is read in place, never copied or mutated.
     """
     arrays = [np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in parts]
     arrays = [a for a in arrays if len(a)]
     if not arrays:
         return np.zeros((0, 2), dtype=np.int64)
-    pooled = np.concatenate(arrays, axis=0)
-    order = np.lexsort((pooled[:, 1], pooled[:, 0]))
-    pooled = pooled[order]
-    keep = np.empty(len(pooled), dtype=np.bool_)
+    rows = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
+    if rows.min() < 0 or rows.max() >= _PACK:
+        raise ValueError("splice_edges: endpoints must lie in [0, 2**31)")
+    keys = rows[:, 0] * _PACK
+    keys += rows[:, 1]
+    keys.sort()
+    keep = np.empty(len(keys), dtype=np.bool_)
     keep[0] = True
-    np.any(pooled[1:] != pooled[:-1], axis=1, out=keep[1:])
-    return pooled[keep]
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    out = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, _PACK, out=(out[:, 0], out[:, 1]))
+    return out
 
 
 @_metered(lambda out, times, seqs, **_: times.nbytes + seqs.nbytes + out.nbytes)

@@ -906,6 +906,38 @@ def test_lexsort_plus_split_fires(lint_snippet):
     assert "REPRO801" in codes(lint_snippet(src, select={"REPRO801"}))
 
 
+def test_row_wise_unique_fires(lint_snippet):
+    src = dedent(
+        """
+        import numpy as np
+        from numpy import unique
+
+        def canonical(edges):
+            return np.unique(np.sort(edges, axis=1), axis=0)
+
+        def canonical_alias(edges):
+            return unique(edges, return_counts=True, axis=0)
+        """
+    )
+    findings = lint_snippet(src, select={"REPRO801"})
+    assert [f.rule for f in findings] == ["REPRO801", "REPRO801"]
+    assert all("splice_edges" in f.message for f in findings)
+
+
+def test_one_dimensional_unique_is_clean(lint_snippet):
+    # The percolation relabelling shape: 1-D unique with return_inverse.
+    src = dedent(
+        """
+        import numpy as np
+
+        def relabel(roots):
+            _, compact = np.unique(roots, return_inverse=True)
+            return compact, np.unique(np.sort(roots))
+        """
+    )
+    assert lint_snippet(src, select={"REPRO801"}) == []
+
+
 def test_single_idiom_uses_are_clean(lint_snippet):
     # Each function uses only one half of an idiom pair: never flagged.
     src = dedent(

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from repro.geometry.index import build_index
 from repro.geometry.primitives import pairwise_distances
-from repro.graphs.knn import build_knn, knn_edges, knn_neighbour_indices
+from repro.graphs.knn import _knn_cell_size, build_knn, knn_edges, knn_neighbour_indices
 
 coord = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -38,6 +39,22 @@ class TestNeighbourIndices:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             knn_neighbour_indices(np.zeros((2, 2)), -1)
+
+    @pytest.mark.parametrize("backend", ["kdtree", "grid"])
+    def test_coincident_cluster_matches_per_row_filter(self, rng, backend):
+        # Seven copies of one point with k=3: the 4-nearest query of a
+        # cluster member can omit the member itself, so its row keeps the
+        # first k hits instead of dropping itself.
+        pts = np.vstack([np.repeat([[2.0, 2.0]], 7, axis=0), rng.uniform(0, 5, size=(20, 2))])
+        k = 3
+        got = knn_neighbour_indices(pts, k, backend=backend)
+        idx = build_index(pts, backend=backend, cell_size=_knn_cell_size(pts, k)).query_nearest(
+            pts, k + 1
+        )
+        expected = np.array([row[row != i][:k] for i, row in enumerate(idx)])
+        assert np.array_equal(got, expected)
+        if backend == "grid":  # index-order ties: 5 and 6 never see themselves
+            assert got[5].tolist() == [0, 1, 2] and got[6].tolist() == [0, 1, 2]
 
     def test_nearest_first_ordering(self, rng):
         pts = rng.uniform(0, 5, size=(40, 2))

@@ -10,6 +10,7 @@ radius 0, subnormal offsets, and chunk seams.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
+import pytest
 
 from repro.kernels import (
     CellTable,
@@ -169,14 +170,32 @@ class TestSpliceEdges:
     def test_empty(self):
         assert splice_edges([]).shape == (0, 2)
 
+    def test_single_fragment_not_mutated(self):
+        rows = np.random.default_rng(10).integers(0, 50, size=(200, 2))
+        before = rows.copy()
+        got = splice_edges([rows])
+        assert np.array_equal(rows, before)
+        assert np.array_equal(got, reference.splice_edges([before]))
+
+    def test_endpoints_outside_pack_domain_rejected(self):
+        for bad in (-1, 2**31):
+            with pytest.raises(ValueError):
+                splice_edges([[(0, 1), (3, bad)]])
+            with pytest.raises(ValueError):
+                splice_edges([[(bad, 3)], [(0, 1)]])
+        top = 2**31 - 1
+        assert splice_edges([[(top, 0), (0, top)]]).tolist() == [[0, top], [top, 0]]
+
     @settings(deadline=None, max_examples=50)
     @given(
-        st.lists(
-            st.lists(
-                st.tuples(st.integers(0, 15), st.integers(0, 15)),
-                max_size=10,
-            ),
-            max_size=6,
+        st.sampled_from([15, 2**31 - 1]).flatmap(
+            lambda hi: st.lists(
+                st.lists(
+                    st.tuples(st.integers(0, hi), st.integers(0, hi)),
+                    max_size=10,
+                ),
+                max_size=6,
+            )
         )
     )
     def test_property_equals_sorted_set(self, parts):

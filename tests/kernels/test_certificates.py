@@ -2,7 +2,8 @@
 
 The per-kernel equality suite proves the kernels agree in isolation; these
 tests prove the *consumers* — grid index bulk queries, the repair engine's
-spliced overlay, the event queue's stepping order — produce byte-identical
+spliced overlay, the graph builders' canonical edge arrays, the event
+queue's stepping order — produce byte-identical
 results when every kernel call is routed through the scalar loops of
 ``repro.kernels.reference``.  This is the ``matches_rebuild()`` discipline
 applied at the seams the kernel layer touches.
@@ -15,6 +16,10 @@ from repro.distributed import DistributedRepairEngine
 from repro.dynamics.incremental import DynamicSpatialIndex
 from repro.geometry.index import GridIndex, KDTreeIndex
 from repro.geometry.primitives import Rect
+from repro.graphs.base import GeometricGraph
+from repro.graphs.knn import build_knn
+from repro.graphs.spanners import _candidate_edges, build_gabriel_graph
+from repro.graphs.udg import udg_edges
 from repro.simulation.events import EventQueue
 
 
@@ -94,3 +99,63 @@ class TestEventQueueCertificate:
             expected = session()
         got = session()
         assert got == expected
+
+
+class TestGraphBuilderCertificate:
+    """Every canonical edge array goes through ``kernel_ops.splice_edges``.
+
+    The fixture's "no numpy kernel ran" assertion proves each builder below
+    reaches the splice through the kernel layer, and the equalities prove
+    the packed-key splice answers byte-identically to the scalar set sort.
+    """
+
+    #: The exact-quotient radius of ``test_backend_equality``.
+    RADIUS = 1.9033145596437013
+
+    @classmethod
+    def _points(cls):
+        rng = np.random.default_rng(24)
+        pts = rng.uniform(0, 6, size=(200, 2))
+        # Coincident clusters, plus a pair exactly one radius apart.
+        pts = np.vstack([pts, np.repeat(pts[:2], 4, axis=0)])
+        return np.vstack([pts, [[0.5, 0.5], [0.5 + cls.RADIUS, 0.5]]])
+
+    def test_udg_and_knn_builders(self, scalar_kernels):
+        pts = self._points()
+
+        def build():
+            return [
+                edges
+                for backend in ("kdtree", "grid")
+                for edges in (
+                    udg_edges(pts, self.RADIUS, backend=backend),
+                    build_knn(pts, 6, backend=backend).edges,
+                )
+            ]
+
+        with scalar_kernels():
+            expected = build()
+        got = build()
+        assert any((e == [len(pts) - 2, len(pts) - 1]).all(axis=1).any() for e in got[::2])
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+
+    def test_geometric_graph_canonicalises_any_row_order(self, scalar_kernels):
+        pts = self._points()
+        edges = udg_edges(pts, self.RADIUS)
+        rng = np.random.default_rng(25)
+        messy = np.vstack([edges[::-1, ::-1], edges[rng.permutation(len(edges))]])
+        with scalar_kernels():
+            expected = GeometricGraph(pts, messy).edges
+        got = GeometricGraph(pts, messy).edges
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, edges)
+
+    def test_spanner_candidate_edges(self, scalar_kernels):
+        pts = self._points()[:60]
+        base = udg_edges(pts, self.RADIUS)[::-1, ::-1]
+        with scalar_kernels():
+            expected = _candidate_edges(pts, base)
+            expected_gabriel = build_gabriel_graph(pts, base_edges=base).edges
+        assert np.array_equal(_candidate_edges(pts, base), expected)
+        assert np.array_equal(build_gabriel_graph(pts, base_edges=base).edges, expected_gabriel)
