@@ -8,50 +8,168 @@ overlay builder needs:
 * which point acts as the tile's **representative**, and
 * which point acts as the **relay** for each relay region.
 
-Point selection mirrors the paper's leader election deterministically: within
-a region the point closest to the region's nominal anchor wins, ties broken
-by point index.  (The distributed algorithm in :mod:`repro.distributed`
-elects leaders by exchanging messages and is cross-checked against this
-centralized rule.)
+All of it is decided by :func:`decide_tiles`, one vectorised pass that the
+centralised classifier, the repair engine and the shard workers share (the
+message-passing build in :mod:`repro.distributed.construct` decides tile by
+tile and is the oracle it is certified against).  Point selection mirrors the
+paper's leader election deterministically: within a region the point with the
+smallest *squared* distance to the region's nominal anchor wins, ties broken
+by point id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
 from repro.core.tiles_base import TileSpec
 from repro.core.tiling import TileIndex, Tiling
 from repro.geometry.primitives import as_points
+from repro.kernels.layout import sort_groups
 from repro.percolation.lattice import LatticeConfiguration
 
-__all__ = ["TileRecord", "TileClassification", "classify_tiles", "select_region_leader"]
+__all__ = [
+    "TileRecord",
+    "TileClassification",
+    "TileDecisions",
+    "classify_tiles",
+    "decide_tiles",
+    "goodness_verdict",
+    "failure_reasons",
+]
+
+#: Failure codes of :func:`goodness_verdict`; code ``MISSING + j`` means the
+#: ``j``-th required region (``spec.required_regions`` order) is empty.
+GOOD, OVERCROWDED, MISSING = 0, 1, 2
 
 
-def select_region_leader(
-    points: np.ndarray, candidate_indices: np.ndarray, anchor: np.ndarray
-) -> int:
-    """Pick the region leader: closest to ``anchor``, ties broken by index.
+def goodness_verdict(
+    spec: TileSpec, cap: int | None, members: np.ndarray, region_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Goodness of tiles from their member and per-region counts.
 
-    Parameters
-    ----------
-    points:
-        Global ``(n, 2)`` coordinate array.
-    candidate_indices:
-        Global indices of the points lying in the region (non-empty).
-    anchor:
-        The region's nominal anchor in *global* coordinates.
+    ``members`` is ``(T,)``, ``region_counts`` ``(T, R)`` in
+    ``spec.region_names`` order.  Returns ``(good, failure)``: the cap is
+    checked first (``OVERCROWDED``), then the first empty required region.
     """
-    cand = np.asarray(candidate_indices, dtype=np.int64)
-    if cand.size == 0:
-        raise ValueError("cannot elect a leader in an empty region")
-    coords = as_points(points)[cand]
-    d2 = np.sum((coords - np.asarray(anchor, dtype=np.float64)) ** 2, axis=1)
-    # lexsort: primary key distance, secondary key the global index.
-    order = np.lexsort((cand, d2))
-    return int(cand[order[0]])
+    names = list(spec.region_names)
+    required = [names.index(name) for name in spec.required_regions]
+    missing = region_counts[:, required] == 0
+    failure = np.where(missing.any(axis=1), MISSING + missing.argmax(axis=1), GOOD)
+    if cap is not None:
+        failure = np.where(members > cap, OVERCROWDED, failure)
+    return failure == GOOD, failure
+
+
+def failure_reasons(spec: TileSpec) -> list[str]:
+    """Failure code → reason: ``""``, ``"overcrowded"``, then ``"missing:<region>"``."""
+    return ["", "overcrowded", *(f"missing:{name}" for name in spec.required_regions)]
+
+
+@dataclass(frozen=True)
+class TileDecisions:
+    """Every per-tile decision for the in-grid tiles of one id subset.
+
+    Row ``t`` is tile ``tiles[t]`` (``(col, row)``, in :meth:`Tiling.tiles`
+    order; only tiles with members appear) and region columns follow
+    ``spec.region_names``.  ``members`` counts each tile's ids and
+    ``member_ids`` lists them tile after tile, ascending within a tile;
+    ``region_counts`` counts each region's members, ``leaders`` holds each
+    region's elected id (``-1`` when empty) and ``good``/``failure`` the
+    :func:`goodness_verdict`.
+    """
+
+    tiles: np.ndarray
+    members: np.ndarray
+    member_ids: np.ndarray
+    region_counts: np.ndarray
+    leaders: np.ndarray
+    good: np.ndarray
+    failure: np.ndarray
+
+    def outcomes(
+        self, spec: TileSpec
+    ) -> Iterator[Tuple[TileIndex, bool, int | None, Dict[str, int]]]:
+        """Per tile ``(tile, good, representative, relays)``: what the overlay reads.
+
+        ``representative`` is ``None`` when the representative region is
+        empty; ``relays`` maps relay region → leader for good tiles and is
+        empty for bad ones.
+        """
+        names = list(spec.region_names)
+        rep_col = names.index(spec.representative_region)
+        for tile, good, row in zip(map(tuple, self.tiles.tolist()), self.good.tolist(), self.leaders.tolist()):
+            relays = {name: row[j] for j, name in enumerate(names) if j != rep_col} if good else {}
+            yield tile, good, (row[rep_col] if row[rep_col] >= 0 else None), relays
+
+
+def decide_tiles(
+    points: np.ndarray,
+    ids: np.ndarray,
+    tiling: Tiling,
+    spec: TileSpec,
+    k: int | None = None,
+) -> TileDecisions:
+    """Region membership, elections and goodness of every tile ``ids`` reach.
+
+    ``points`` is any coordinate array indexable by ``ids`` (a deployment's
+    ``(n, 2)`` array, or the id-indexed buffer of a dynamic index); ids whose
+    point lies outside the tiling's grid are ignored.  One vectorised pass:
+    ids are grouped by packed tile key
+    (:func:`~repro.kernels.layout.sort_groups`), tile-local offsets use the
+    same IEEE expressions as :meth:`Tiling.tile_center` (so every region bit
+    equals a per-tile classification), one :meth:`TileSpec.classify_points`
+    call assigns regions, and one ``np.lexsort`` elects the leader of every
+    ``(tile, region)``: least ``d2 = dx*dx + dy*dy`` to
+    ``center + spec.region_anchor(name)``, ties to the lower id.
+    """
+    ids = np.sort(np.asarray(ids, dtype=np.int64).reshape(-1))
+    pts = as_points(points)[ids]
+    tiles = tiling.tile_of_points(pts)
+    keep = tiling.in_grid_mask(tiles)
+    # A stable group-by over ascending ids keeps every tile's members ascending.
+    order, _, starts, members = sort_groups(tiles[keep, 1] * tiling.n_cols + tiles[keep, 0])
+    ids, pts, tiles = ids[keep][order], pts[keep][order], tiles[keep][order]
+    slot = np.repeat(np.arange(starts.size), members)
+
+    cx = tiling.origin[0] + (tiles[:, 0] + 0.5) * tiling.tile_side
+    cy = tiling.origin[1] + (tiles[:, 1] + 0.5) * tiling.tile_side
+    masks = spec.classify_points(np.column_stack([pts[:, 0] - cx, pts[:, 1] - cy]))
+
+    # Flatten (member, region) incidences into one election over the group
+    # key slot * R + region.
+    names = list(spec.region_names)
+    n_tiles, n_regions = starts.size, len(names)
+    group_parts, d2_parts, id_parts = [], [], []
+    for j, name in enumerate(names):
+        hit = np.flatnonzero(masks[name])
+        anchor = spec.region_anchor(name)
+        dx = pts[hit, 0] - (cx[hit] + anchor[0])
+        dy = pts[hit, 1] - (cy[hit] + anchor[1])
+        group_parts.append(slot[hit] * n_regions + j)
+        d2_parts.append(dx * dx + dy * dy)
+        id_parts.append(ids[hit])
+    group, d2, cand = (np.concatenate(p) for p in (group_parts, d2_parts, id_parts))
+    ranked = np.lexsort((cand, d2, group))
+    group, cand = group[ranked], cand[ranked]
+    winners = np.ones(group.size, dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=winners[1:])
+    leaders = np.full(n_tiles * n_regions, -1, dtype=np.int64)
+    leaders[group[winners]] = cand[winners]
+    region_counts = np.bincount(group, minlength=n_tiles * n_regions).reshape(n_tiles, n_regions)
+
+    good, failure = goodness_verdict(spec, spec.max_points_per_tile(k), members, region_counts)
+    return TileDecisions(
+        tiles=tiles[starts],
+        members=members,
+        member_ids=ids,
+        region_counts=region_counts,
+        leaders=leaders.reshape(n_tiles, n_regions),
+        good=good,
+        failure=failure,
+    )
 
 
 @dataclass(frozen=True)
@@ -64,8 +182,6 @@ class TileRecord:
         Tile index ``(col, row)``.
     point_indices:
         Global indices of the points inside the tile.
-    region_members:
-        Mapping region name → global indices of the points in that region.
     good:
         Whether the tile satisfies the goodness condition.
     failure_reason:
@@ -80,7 +196,6 @@ class TileRecord:
 
     tile: TileIndex
     point_indices: np.ndarray
-    region_members: Mapping[str, np.ndarray]
     good: bool
     failure_reason: str
     representative: int | None
@@ -155,6 +270,9 @@ def classify_tiles(
 ) -> TileClassification:
     """Classify every tile of ``tiling`` for the given deployment.
 
+    :func:`decide_tiles` over every point, assembled into one
+    :class:`TileRecord` per in-grid tile (empty tiles included).
+
     Parameters
     ----------
     points:
@@ -175,58 +293,23 @@ def classify_tiles(
         raise ValueError(
             f"tiling tile_side {tiling.tile_side} does not match spec tile_side {spec.tile_side}"
         )
-    cap = spec.max_points_per_tile(k)
-    groups = tiling.group_points_by_tile(pts)
-    required = tuple(spec.required_regions)
-    relay_regions = tuple(name for name in spec.region_names if name != spec.representative_region)
-
-    records: Dict[TileIndex, TileRecord] = {}
-    for tile in tiling.tiles():
-        member_idx = groups.get(tile, np.zeros(0, dtype=np.int64))
-        center = tiling.tile_center(tile)
-        local = pts[member_idx] - center if member_idx.size else np.zeros((0, 2))
-        masks = spec.classify_points(local) if member_idx.size else {
-            name: np.zeros(0, dtype=bool) for name in spec.region_names
-        }
-        region_members = {name: member_idx[mask] for name, mask in masks.items()}
-
-        failure = ""
-        if cap is not None and member_idx.size > cap:
-            failure = "overcrowded"
-        else:
-            for name in required:
-                if region_members.get(name, np.zeros(0)).size == 0:
-                    failure = f"missing:{name}"
-                    break
-
-        if failure:
-            records[tile] = TileRecord(
-                tile=tile,
-                point_indices=member_idx,
-                region_members=region_members,
-                good=False,
-                failure_reason=failure,
-                representative=None,
-                relays={},
-            )
-            continue
-
-        rep = select_region_leader(
-            pts,
-            region_members[spec.representative_region],
-            center + spec.region_anchor(spec.representative_region),
+    decisions = decide_tiles(pts, np.arange(len(pts)), tiling, spec, k)
+    reasons = failure_reasons(spec)
+    decided = {
+        tile: TileRecord(tile, member_idx, good, reasons[code], rep if good else None, relays)
+        for (tile, good, rep, relays), member_idx, code in zip(
+            decisions.outcomes(spec),
+            np.split(decisions.member_ids, np.cumsum(decisions.members)[:-1]),
+            decisions.failure.tolist(),
         )
-        relays = {
-            name: select_region_leader(pts, region_members[name], center + spec.region_anchor(name))
-            for name in relay_regions
-        }
-        records[tile] = TileRecord(
-            tile=tile,
-            point_indices=member_idx,
-            region_members=region_members,
-            good=True,
-            failure_reason="",
-            representative=rep,
-            relays=relays,
-        )
+    }
+    # An empty tile gets the verdict of zero counts.
+    _, empty = goodness_verdict(
+        spec, spec.max_points_per_tile(k), np.zeros(1), np.zeros((1, len(spec.region_names)))
+    )
+    no_members = np.zeros(0, dtype=np.int64)
+    records = {
+        tile: decided.get(tile) or TileRecord(tile, no_members, False, reasons[empty[0]], None, {})
+        for tile in tiling.tiles()
+    }
     return TileClassification(tiling=tiling, spec=spec, k=k, records=records)

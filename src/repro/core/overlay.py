@@ -24,15 +24,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.core.goodness import TileClassification
+from repro.core.tiles_base import TileSpec
 from repro.core.tiling import TileIndex
 from repro.graphs.base import GeometricGraph
+from repro.kernels import ops as kernel_ops
 
-__all__ = ["OverlayRole", "OverlayGraph", "build_overlay"]
+__all__ = ["OverlayRole", "OverlayGraph", "build_overlay", "cross_tile_edges"]
+
+
+def cross_tile_edges(
+    spec: TileSpec,
+    direction: str,
+    rep_a: int,
+    relays_a: Mapping[str, int],
+    rep_b: int,
+    relays_b: Mapping[str, int],
+) -> Tuple[List[Tuple[int, int]], Tuple[int, int]]:
+    """Overlay edges of one good tile pair, plus the border-handshake endpoints.
+
+    ``a`` is the tile owning ``direction`` (right/top), ``b`` its neighbour.
+    Returns the ``(min, max)`` edge tuples along the relay path
+    ``rep_a – chain(a) – chain(b) reversed – rep_b`` (consecutive duplicates
+    skipped: one point may hold two consecutive roles) and the two outermost
+    relays whose border handshake precedes the splice.
+    """
+    facing = spec.facing_direction(direction)
+    own_chain = [rep_a] + [relays_a[region] for region in spec.relay_chain(direction)]
+    other_chain = [relays_b[region] for region in reversed(spec.relay_chain(facing))] + [rep_b]
+    path = own_chain + other_chain
+    edges = [
+        (min(u, v), max(u, v)) for u, v in zip(path[:-1], path[1:]) if u != v
+    ]
+    return edges, (own_chain[-1], other_chain[0])
 
 
 class OverlayRole(str, Enum):
@@ -191,8 +219,10 @@ def build_overlay(
 
     # Wire the relay chains between adjacent good tiles.  Each unordered pair
     # of neighbouring tiles is processed once (via its "right"/"top" side).
-    edges: set[Tuple[int, int]] = set()
+    # Splicing in original-id space and then mapping through the ascending
+    # ``original_indices`` keeps every row oriented and the rows sorted.
     good_set = set(good_tiles)
+    parts: List[List[Tuple[int, int]]] = []
     for tile in good_tiles:
         record = classification.records[tile]
         neighbours = tiling.neighbours(tile)
@@ -201,22 +231,16 @@ def build_overlay(
             if neighbour is None or neighbour not in good_set:
                 continue
             other = classification.records[neighbour]
-            facing = spec.facing_direction(direction)
-            path_originals: List[int] = [record.representative]
-            path_originals.extend(record.relays[region] for region in spec.relay_chain(direction))
-            path_originals.extend(
-                other.relays[region] for region in reversed(spec.relay_chain(facing))
+            pair_edges, _ = cross_tile_edges(
+                spec,
+                direction,
+                record.representative,
+                record.relays,
+                other.representative,
+                other.relays,
             )
-            path_originals.append(other.representative)
-            for a, b in zip(path_originals[:-1], path_originals[1:]):
-                if a == b:
-                    continue  # one point holds two consecutive roles
-                la, lb = local_of[int(a)], local_of[int(b)]
-                edges.add((min(la, lb), max(la, lb)))
-
-    edge_array = (
-        np.asarray(sorted(edges), dtype=np.int64) if edges else np.zeros((0, 2), dtype=np.int64)
-    )
+            parts.append(pair_edges)
+    edge_array = np.searchsorted(original_indices, kernel_ops.splice_edges(parts))
     graph = GeometricGraph(points[original_indices], edge_array, name=name)
 
     roles_local = {local_of[orig]: assignments for orig, assignments in node_roles.items()}

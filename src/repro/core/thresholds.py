@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.goodness import failure_reasons, goodness_verdict
 from repro.core.tiles_base import TileSpec
 from repro.core.tiles_nn import NNTileSpec
 from repro.core.tiles_udg import UDGTileSpec
@@ -113,18 +114,11 @@ def _single_tile_good(
 ) -> tuple[bool, str]:
     """Simulate one tile and return (good?, failure reason)."""
     half = spec.tile_side / 2.0
-    tile_rect = Rect(-half, -half, half, half)
-    pts = poisson_points(tile_rect, intensity, rng)
-    cap = spec.max_points_per_tile(k)
-    if cap is not None and len(pts) > cap:
-        return False, "overcrowded"
-    if len(pts) == 0:
-        return False, f"missing:{spec.required_regions[0]}"
+    pts = poisson_points(Rect(-half, -half, half, half), intensity, rng)
     masks = spec.classify_points(pts)
-    for name in spec.required_regions:
-        if not masks[name].any():
-            return False, f"missing:{name}"
-    return True, ""
+    counts = np.array([[np.count_nonzero(masks[name]) for name in spec.region_names]])
+    good, failure = goodness_verdict(spec, spec.max_points_per_tile(k), np.array([len(pts)]), counts)
+    return bool(good[0]), failure_reasons(spec)[failure[0]]
 
 
 def estimate_goodness_probability(

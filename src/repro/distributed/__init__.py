@@ -10,14 +10,15 @@ that algorithm faithfully as a synchronous message-passing computation:
 * :mod:`repro.distributed.leader_election` — leader election on the complete
   graph formed by the nodes of one region (the paper cites Singh's
   complete-network election; any deterministic rule works, we use
-  lowest-key-wins on (distance-to-anchor, node id)).
+  lowest-key-wins on (squared distance to the anchor, node id)).
 * :mod:`repro.distributed.construct` — the four-step algorithm of Figure 7
   (tile identification, region identification, leader election, handshake
   connection), producing the same overlay as the centralized builder, which
   the integration tests verify.
 * :mod:`repro.distributed.repair` — the diff-driven repair engine: given the
   dirty-id stream of a dynamic deployment, re-runs election/classification
-  only in the tiles the diff touched and splices the overlay edges of the
+  (:func:`repro.core.goodness.decide_tiles`) only in the tiles the diff
+  touched and splices the overlay edges of the
   affected tile pairs, equal to a from-scratch ``distributed_build`` at a
   cost proportional to the diff.
 """

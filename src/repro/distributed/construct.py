@@ -26,6 +26,13 @@ NN-SENS occupancy count (``≤ k/2`` points in the tile) is computed from the
 tile membership directly instead of via an in-network census protocol.  The
 paper itself does not specify a census mechanism; counting messages for it
 would be guesswork, and it does not affect which overlay is produced.
+
+The per-tile helpers :func:`region_members_of_tile`,
+:func:`elect_tile_leaders` and :func:`tile_goodness` are called only from
+:func:`distributed_build`: they are the scalar *oracle* for the vectorised
+:func:`~repro.core.goodness.decide_tiles`, which the centralised classifier,
+the repair engine and the shard workers share.  Pair splices go through
+:func:`~repro.core.overlay.cross_tile_edges`, the one splice rule.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.goodness import TileClassification
-from repro.core.overlay import OverlayGraph
+from repro.core.overlay import OverlayGraph, cross_tile_edges
 from repro.core.tiles_base import TileSpec
 from repro.core.tiling import TileIndex, Tiling
 from repro.distributed.leader_election import elect_leader_distributed, election_key
@@ -50,14 +57,7 @@ __all__ = [
     "region_members_of_tile",
     "elect_tile_leaders",
     "tile_goodness",
-    "cross_tile_edges",
 ]
-
-
-# -- pure per-tile decision helpers -------------------------------------------
-# The repair engine (repro.distributed.repair) re-runs exactly these decisions
-# in only the tiles a diff touched; sharing one implementation is what makes
-# "repair equals rebuild" a structural property rather than a coincidence.
 
 
 def region_members_of_tile(
@@ -81,10 +81,10 @@ def elect_tile_leaders(
 ) -> Dict[str, int]:
     """Deterministic leader of every non-empty region of one tile.
 
-    The election key is ``(distance to the region anchor, node id)`` — the
-    exact rule the message-passing election converges to, so the distributed
-    run, the repair engine and the centralized classifier all pick the same
-    nodes.
+    The election key is ``(squared distance to the region anchor, node id)``
+    (:func:`~repro.distributed.leader_election.election_key`) — the exact rule
+    the message-passing election converges to and the one
+    :func:`~repro.core.goodness.decide_tiles` applies in bulk.
     """
     leaders: Dict[str, int] = {}
     for name, members in region_members.items():
@@ -113,32 +113,6 @@ def tile_goodness(
     over_cap = cap is not None and n_members > cap
     good = len(present) == len(relay_regions) and not over_cap
     return good, present
-
-
-def cross_tile_edges(
-    spec: TileSpec,
-    direction: str,
-    rep_a: int,
-    relays_a: Dict[str, int],
-    rep_b: int,
-    relays_b: Dict[str, int],
-) -> Tuple[List[Tuple[int, int]], Tuple[int, int]]:
-    """Overlay edges of one good tile pair, plus the border-handshake endpoints.
-
-    ``a`` is the tile owning ``direction`` (right/top), ``b`` its neighbour.
-    Returns the ``(min, max)`` edge tuples along the relay path
-    ``rep_a – chain(a) – chain(b) reversed – rep_b`` (consecutive duplicates
-    skipped) and the two outermost relays whose border handshake precedes the
-    splice.
-    """
-    facing = spec.facing_direction(direction)
-    own_chain = [rep_a] + [relays_a[region] for region in spec.relay_chain(direction)]
-    other_chain = [relays_b[region] for region in reversed(spec.relay_chain(facing))] + [rep_b]
-    path = own_chain + other_chain
-    edges = [
-        (min(u, v), max(u, v)) for u, v in zip(path[:-1], path[1:]) if u != v
-    ]
-    return edges, (own_chain[-1], other_chain[0])
 
 
 @dataclass

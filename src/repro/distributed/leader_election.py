@@ -4,10 +4,11 @@ All nodes that fall in the same region of the same tile can hear each other
 (the regions are constructed with diameter below the communication radius),
 so the election runs on a complete graph: every candidate broadcasts its key,
 and every candidate independently picks the minimum key it heard (including
-its own).  The key is ``(distance to the region's nominal anchor, node id)``,
-which makes the outcome identical to the centralized selection rule in
-:func:`repro.core.goodness.select_region_leader` — the cross-check the
-integration tests rely on.
+its own).  The key is ``(squared distance to the region's nominal anchor,
+node id)`` with the squared distance written ``dx*dx + dy*dy`` — the same
+IEEE expression :func:`repro.core.goodness.decide_tiles` evaluates in bulk, so
+every election in the repo orders by one key, bit for bit (a Euclidean norm
+could round two distinct squared distances to one float and flip a tie).
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ __all__ = ["election_key", "elect_leader_distributed"]
 
 
 def election_key(points: np.ndarray, node: int, anchor: np.ndarray) -> Tuple[float, int]:
-    """The election key of a node: (distance to the region anchor, node id)."""
-    d = float(np.linalg.norm(np.asarray(points)[node] - np.asarray(anchor)))
-    return (d, int(node))
+    """The election key of a node: (squared distance to the region anchor, node id)."""
+    x, y = np.asarray(points)[node]
+    ax, ay = np.asarray(anchor)
+    dx, dy = float(x) - float(ax), float(y) - float(ay)
+    return (dx * dx + dy * dy, int(node))
 
 
 def elect_leader_distributed(
@@ -77,12 +80,12 @@ def elect_leader_distributed(
                 m,
                 member_list,
                 kind,
-                {"distance": keys[m][0], "node": keys[m][1]},
+                {"d2": keys[m][0], "node": keys[m][1]},
             )
         inboxes = network.deliver_round()
         for m in member_list:
             for msg in inboxes.get(m, []):
-                heard[m].add((msg.payload["distance"], msg.payload["node"]))
+                heard[m].add((msg.payload["d2"], msg.payload["node"]))
         # Each member picks the minimum of the keys it heard plus its own;
         # all members must agree (a completeness check on the message
         # plumbing, not a probabilistic property).

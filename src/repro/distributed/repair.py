@@ -18,16 +18,17 @@ one stream between both consumers) and, per :meth:`~DistributedRepairEngine.upda
 1. **Re-tiles only the moved/inserted/deleted nodes** — a moved node marks
    its old and new tile dirty (a move *within* a tile still changes election
    distances, so the tile is dirty even without a membership change).
-2. **Re-elects and re-classifies only the dirty tiles**, through the very
-   helpers :func:`distributed_build` itself runs
-   (:func:`~repro.distributed.construct.region_members_of_tile`,
-   :func:`~repro.distributed.construct.elect_tile_leaders`,
-   :func:`~repro.distributed.construct.tile_goodness`) — repair equals
-   rebuild by shared implementation, not by luck, and the property tests pin
-   it over random mobility/churn interleavings.
+2. **Re-elects and re-classifies only the dirty tiles**, in one
+   :func:`~repro.core.goodness.decide_tiles` call over the members of every
+   dirty tile — the vectorised decision pass the centralised classifier and
+   the shard workers share — then diffs each tile's outcome against the
+   stored one.  ``distributed_build`` decides through its own scalar
+   helpers, so :meth:`~DistributedRepairEngine.matches_rebuild` compares two
+   independent implementations, and the property tests pin the equality
+   over random mobility/churn interleavings.
 3. **Re-splices only the overlay edges of tile pairs whose endpoints
    changed** (representative, relays or goodness), via
-   :func:`~repro.distributed.construct.cross_tile_edges`; edges between two
+   :func:`~repro.core.overlay.cross_tile_edges`; edges between two
    untouched good tiles are never revisited.
 
 Everything runs in stable *node-id* space, so results remain comparable
@@ -40,7 +41,8 @@ message delivery (the deterministic election rule is exactly what the
 messaging converges to), but it keeps faithful
 :class:`~repro.distributed.network.NetworkStats` accounting of the messages
 and rounds the repair protocol *would* exchange: candidate broadcasts in
-re-elected regions, connect/goodness handshakes in re-decided tiles, border
+re-elected regions, connect/goodness handshakes in re-decided tiles
+(:func:`decision_messages`, also used by the shard workers), border
 handshakes on re-spliced pairs.  Comparing that against a from-scratch run's
 stats is the message-complexity story of the M02 workload.  What the engine
 deliberately does not re-verify is radio-range locality — that is a property
@@ -51,20 +53,16 @@ of the construction's geometry (checked by the simulated
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.goodness import TileDecisions, decide_tiles
+from repro.core.overlay import cross_tile_edges
 from repro.core.tiles_base import TileSpec
 from repro.core.tiling import TileIndex, Tiling
-from repro.distributed.construct import (
-    DistributedBuildResult,
-    cross_tile_edges,
-    distributed_build,
-    elect_tile_leaders,
-    region_members_of_tile,
-    tile_goodness,
-)
+from repro.distributed.construct import DistributedBuildResult, distributed_build
 from repro.distributed.network import NetworkStats
 from repro.geometry.primitives import Rect
 from repro.kernels import ops as kernel_ops
@@ -72,17 +70,48 @@ from repro.kernels import ops as kernel_ops
 if TYPE_CHECKING:  # no runtime dependency on the dynamics layer
     from repro.dynamics.incremental import DynamicSpatialIndex
 
-__all__ = ["RepairReport", "DistributedRepairEngine", "repair_build"]
+__all__ = ["RepairReport", "DistributedRepairEngine", "repair_build", "decision_messages"]
 
-#: Each unordered adjacent tile pair is owned by its left/bottom tile.
-_PAIR_DIRECTIONS = ("right", "top")
+#: A tile's overlay-relevant outcome: (good, representative, relays of a good
+#: tile); tiles without members, or without a representative in a bad tile,
+#: read as the empty outcome.
+_Outcome = Tuple[bool, Optional[int], Dict[str, int]]
+_NO_OUTCOME: _Outcome = (False, None, {})
 
 #: Synchronous rounds of one construction pass (election, connect-request,
 #: connect-ack, goodness, border) — what a repair step re-runs for its dirty
 #: tiles.
 _PROTOCOL_ROUNDS = 5
 
-_EMPTY_IDS = np.zeros(0, dtype=np.int64)
+
+def decision_messages(
+    decisions: TileDecisions, spec: TileSpec, select: Optional[np.ndarray] = None
+) -> Dict[str, int]:
+    """Intra-tile protocol messages of decided tiles (all, or the ``select`` mask).
+
+    What ``distributed_build`` sends for those tiles: ``m·(m-1)`` candidate
+    broadcasts per region of ``m ≥ 2`` members, one connect-request and one
+    connect-ack per present relay leader other than the representative, and
+    as many tile-good announcements in good tiles.  Kinds with no messages
+    are omitted, as :class:`~repro.distributed.network.NetworkStats` never
+    records them.
+    """
+    counts, leaders, good = decisions.region_counts, decisions.leaders, decisions.good
+    if select is not None:
+        counts, leaders, good = counts[select], leaders[select], good[select]
+    rep_col = list(spec.region_names).index(spec.representative_region)
+    rep = leaders[:, rep_col]
+    relays = np.delete(leaders, rep_col, axis=1)
+    present = (relays >= 0) & (relays != rep[:, None]) & (rep >= 0)[:, None]
+    handshakes = present.sum(axis=1)
+    handshake_total = int(handshakes.sum())
+    messages = {
+        "candidate": int((counts * (counts - 1)).sum()),
+        "connect-request": handshake_total,
+        "connect-ack": handshake_total,
+        "tile-good": int(handshakes[good].sum()),
+    }
+    return {kind: n for kind, n in messages.items() if n > 0}
 
 
 @dataclass(frozen=True)
@@ -141,98 +170,60 @@ class DistributedRepairEngine:
         self.window = window
         self.k = k
         self.tiling = Tiling(window=window, tile_side=spec.tile_side)
-        self._cap = spec.max_points_per_tile(k)
-        self._rep_region = spec.representative_region
         self.stats = NetworkStats()
 
         #: tile → set of member node ids (in-grid tiles with ≥ 1 member only).
         self._members: Dict[TileIndex, Set[int]] = {}
         #: node id → its in-grid tile (off-grid nodes are absent).
         self._node_tile: Dict[int, TileIndex] = {}
-        #: tile → elected leader per non-empty region (tiles with members only).
-        self._leaders: Dict[TileIndex, Dict[str, int]] = {}
-        #: good tiles and their present relay mapping.
-        self._good: Set[TileIndex] = set()
-        self._relays: Dict[TileIndex, Dict[str, int]] = {}
+        #: tile → (good, representative, relays) as decide_tiles reports it.
+        self._outcome: Dict[TileIndex, _Outcome] = {}
         #: (tile, direction) → spliced overlay edges of that good pair.
         self._pair_edges: Dict[Tuple[TileIndex, str], List[Tuple[int, int]]] = {}
         #: The spliced :meth:`result`, memoised until the next non-empty update.
         self._result: Optional[DistributedBuildResult] = None
 
+        # The full pass is a repair from the empty state in which every alive
+        # node is new; it costs one protocol execution even with no nodes.
         index.consume_dirty()
-        self._full_pass()
+        self._repair(index.ids(), np.zeros(0, dtype=np.int64))
+        self.stats.rounds = _PROTOCOL_ROUNDS
 
     # -- construction ----------------------------------------------------------
-    def _full_pass(self) -> None:
-        ids = self.index.ids()
-        if len(ids):
-            positions = self.index.id_positions()[ids]
-            tiles = self.tiling.tile_of_points(positions)
-            in_grid = self.tiling.in_grid_mask(tiles)
-            for row in np.nonzero(in_grid)[0].tolist():
-                tile = (int(tiles[row, 0]), int(tiles[row, 1]))
-                node = int(ids[row])
-                self._members.setdefault(tile, set()).add(node)
-                self._node_tile[node] = tile
-        for tile in list(self._members):
-            self._classify_tile(tile)
-        for tile in self._good:
-            for direction in _PAIR_DIRECTIONS:
-                self._resplice_pair(tile, direction)
-        self.stats.rounds += _PROTOCOL_ROUNDS
-
     def _count(self, kind: str, n: int) -> None:
         if n <= 0:
             return
         self.stats.messages_sent += n
         self.stats.messages_by_kind[kind] = self.stats.messages_by_kind.get(kind, 0) + n
 
-    def _classify_tile(self, tile: TileIndex) -> Tuple[bool, int]:
-        """Re-run election + goodness for one tile.
+    def _decide(self, tiles: Set[TileIndex]) -> Tuple[List[TileIndex], int]:
+        """Re-run election + goodness for ``tiles`` in one :func:`decide_tiles` pass.
 
-        Returns ``(outcome_changed, regions_elected)`` where the outcome is
-        the triple the overlay depends on: goodness, representative, relays.
+        Returns ``(changed, regions_elected)``: the tiles whose outcome — the
+        triple the overlay depends on: goodness, representative, relays —
+        changed, and the number of non-empty regions re-elected.
         """
-        old = (
-            tile in self._good,
-            self._leaders.get(tile, {}).get(self._rep_region),
-            self._relays.get(tile),
+        ids = np.fromiter(
+            chain.from_iterable(self._members.get(tile, ()) for tile in tiles), dtype=np.int64
         )
-        members = self._members.get(tile)
-        if not members:
-            self._members.pop(tile, None)
-            self._leaders.pop(tile, None)
-            self._relays.pop(tile, None)
-            self._good.discard(tile)
-            return old != (False, None, None), 0
+        decisions = decide_tiles(self.index.id_positions(), ids, self.tiling, self.spec, self.k)
+        for kind, n in decision_messages(decisions, self.spec).items():
+            self._count(kind, n)
+        decided = {tile: (good, rep, relays) for tile, good, rep, relays in decisions.outcomes(self.spec)}
+        changed: List[TileIndex] = []
+        for tile in tiles:
+            new = decided.get(tile)
+            if new is None:
+                self._members.pop(tile, None)
+                new = _NO_OUTCOME
+            if self._outcome.pop(tile, _NO_OUTCOME) != new:
+                changed.append(tile)
+            if new != _NO_OUTCOME:
+                self._outcome[tile] = new
+        return changed, int(np.count_nonzero(decisions.region_counts))
 
-        member_idx = np.fromiter(sorted(members), dtype=np.int64, count=len(members))
-        pts = self.index.id_positions()
-        center = self.tiling.tile_center(tile)
-        regions = region_members_of_tile(pts, member_idx, center, self.spec)
-        leaders = elect_tile_leaders(pts, regions, center, self.spec)
-        for region_members in regions.values():
-            m = len(region_members)
-            if m >= 2:
-                self._count("candidate", m * (m - 1))
-        good, present = tile_goodness(self.spec, leaders, len(member_idx), self._cap)
-        if self._rep_region in leaders:
-            rep = leaders[self._rep_region]
-            handshakes = sum(1 for relay in present.values() if relay != rep)
-            self._count("connect-request", handshakes)
-            self._count("connect-ack", handshakes)
-            if good:
-                self._count("tile-good", handshakes)
-
-        self._leaders[tile] = leaders
-        if good:
-            self._good.add(tile)
-            self._relays[tile] = present
-        else:
-            self._good.discard(tile)
-            self._relays.pop(tile, None)
-        new = (good, leaders.get(self._rep_region), present if good else None)
-        return old != new, len(leaders)
+    def _is_good(self, tile: TileIndex) -> bool:
+        return self._outcome.get(tile, _NO_OUTCOME)[0]
 
     def _resplice_pair(self, tile: TileIndex, direction: str) -> bool:
         """Recompute one adjacent pair's overlay edges; True when it is live."""
@@ -240,17 +231,12 @@ class DistributedRepairEngine:
             return False
         neighbour = self.tiling.neighbours(tile).get(direction)
         key = (tile, direction)
-        if neighbour is None or tile not in self._good or neighbour not in self._good:
+        if neighbour is None or not self._is_good(tile) or not self._is_good(neighbour):
             self._pair_edges.pop(key, None)
             return False
-        edges, (a, b) = cross_tile_edges(
-            self.spec,
-            direction,
-            self._leaders[tile][self._rep_region],
-            self._relays[tile],
-            self._leaders[neighbour][self._rep_region],
-            self._relays[neighbour],
-        )
+        _, rep_a, relays_a = self._outcome[tile]
+        _, rep_b, relays_b = self._outcome[neighbour]
+        edges, (a, b) = cross_tile_edges(self.spec, direction, rep_a, relays_a, rep_b, relays_b)
         self._pair_edges[key] = edges
         if a != b:
             self._count("border-request", 1)
@@ -283,40 +269,29 @@ class DistributedRepairEngine:
             # An empty diff provably cannot change any tile: true no-op —
             # no dirty-set bookkeeping, no stats churn, no protocol rounds.
             return RepairReport(0, 0, 0, 0, 0)
+        return self._repair(dirty, deleted)
+
+    def _repair(self, dirty: np.ndarray, deleted: np.ndarray) -> RepairReport:
         self._result = None
         messages_before = self.stats.messages_sent
 
+        # Every dirty or deleted node leaves its tile; dirty in-grid nodes
+        # then join their current tile (possibly the same one).
         dirty_tiles: Set[TileIndex] = set()
-        for node in deleted.tolist():
+        for node in chain(deleted.tolist(), dirty.tolist()):
             tile = self._node_tile.pop(node, None)
             if tile is not None:
                 self._members[tile].discard(node)
                 dirty_tiles.add(tile)
-        if dirty.size:
-            positions = self.index.id_positions()[dirty]
-            tiles = self.tiling.tile_of_points(positions)
-            in_grid = self.tiling.in_grid_mask(tiles)
-            for i, node in enumerate(dirty.tolist()):
-                new_tile = (int(tiles[i, 0]), int(tiles[i, 1])) if in_grid[i] else None
-                old_tile = self._node_tile.get(node)
-                if old_tile is not None:
-                    dirty_tiles.add(old_tile)
-                    if new_tile != old_tile:
-                        self._members[old_tile].discard(node)
-                if new_tile is not None:
-                    dirty_tiles.add(new_tile)
-                    self._members.setdefault(new_tile, set()).add(node)
-                    self._node_tile[node] = new_tile
-                elif old_tile is not None:
-                    del self._node_tile[node]
+        tiles = self.tiling.tile_of_points(self.index.id_positions()[dirty])
+        in_grid = self.tiling.in_grid_mask(tiles).tolist()
+        for node, tile, inside in zip(dirty.tolist(), map(tuple, tiles.tolist()), in_grid):
+            if inside:
+                self._members.setdefault(tile, set()).add(node)
+                self._node_tile[node] = tile
+                dirty_tiles.add(tile)
 
-        changed: List[TileIndex] = []
-        re_elected = 0
-        for tile in dirty_tiles:
-            outcome_changed, regions = self._classify_tile(tile)
-            re_elected += regions
-            if outcome_changed:
-                changed.append(tile)
+        changed, re_elected = self._decide(dirty_tiles)
 
         pairs: Set[Tuple[TileIndex, str]] = set()
         for col, row in changed:
@@ -354,11 +329,11 @@ class DistributedRepairEngine:
             # fragments — the splice_edges kernel replaces the scalar
             # set-union + sorted() splice byte-identically.
             edge_array = kernel_ops.splice_edges(list(self._pair_edges.values()))
-            good_tiles = sorted(self._good)
+            good_tiles = sorted(tile for tile, (good, _, _) in self._outcome.items() if good)
             self._result = DistributedBuildResult(
                 edges=edge_array,
-                representatives={tile: self._leaders[tile][self._rep_region] for tile in good_tiles},
-                relays={tile: dict(self._relays[tile]) for tile in good_tiles},
+                representatives={tile: self._outcome[tile][1] for tile in good_tiles},
+                relays={tile: dict(self._outcome[tile][2]) for tile in good_tiles},
                 good_tiles=good_tiles,
                 stats=self.stats,
             )

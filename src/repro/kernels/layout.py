@@ -17,8 +17,8 @@ is the single place those buffer shapes are written down:
   dynamic layer's patched cell map.  Both constructors funnel through the
   same grouping code here.
 * :func:`sort_groups` is the one stable group-by-key primitive (argsort +
-  boundary diff) underneath the cell table and the shard worker's tile and
-  region classification.
+  boundary diff) underneath the cell table and the tile grouping of
+  :func:`repro.core.goodness.decide_tiles`.
 
 Everything in this package is importable with numpy alone, without scipy or any
 other optional dependency — consumers below (geometry, simulation) depend on
@@ -104,8 +104,8 @@ def sort_groups(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, n
     stable permutation sorting ``keys`` ascending, ``group_keys`` the sorted
     unique keys, and ``keys[order][starts[g] : starts[g] + counts[g]]`` is
     group ``g``.  The stable sort keeps original element order inside each
-    group — the property every consumer (cell tables, shard tile/region
-    classification) relies on for deterministic output.
+    group — the property every consumer (cell tables, the tile decisions)
+    relies on for deterministic output.
     """
     keys = np.asarray(keys)
     order = np.argsort(keys, kind="stable")

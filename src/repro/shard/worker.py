@@ -9,23 +9,17 @@ that sees its owned columns plus their immediate neighbours can reproduce
 every decision of :func:`~repro.distributed.construct.distributed_build`
 that touches an owned tile, with zero cross-worker communication.
 
-Exactness discipline (the PR 4 "repair equals rebuild" rules, applied to
+Exactness discipline (the "repair equals rebuild" rules, applied to
 sharding):
 
-* **Decisions go through the shared helpers.**  Leader election, goodness and
-  splicing call :func:`~repro.distributed.construct.elect_tile_leaders`,
-  :func:`~repro.distributed.construct.tile_goodness` and
-  :func:`~repro.distributed.construct.cross_tile_edges` — the very functions
-  ``distributed_build`` runs — so shard-count invariance is structural.
-  Elections in particular stay scalar: a vectorised row-wise norm may differ
-  from :func:`~repro.distributed.leader_election.election_key` by an ULP and
-  flip a leader on a tie-distance pair.
-* **Only data-parallel steps are vectorised.**  Region classification is one
-  :meth:`~repro.core.tiles_base.TileSpec.classify_points` call over the whole
-  shard membership (the unsharded build's dominant cost is re-building the
-  region predicates per tile); the tile-local offsets feeding it use the same
-  IEEE operations as :meth:`~repro.core.tiling.Tiling.tile_center`, so every
-  mask bit matches the per-tile path.
+* **Decisions go through the shared pass.**  Region membership, elections
+  and goodness come from one :func:`~repro.core.goodness.decide_tiles` call
+  over the shard's rows, halo included — the pass the centralised
+  classifier and the repair engine run — and pair splices from
+  :func:`~repro.core.overlay.cross_tile_edges`, so shard-count invariance is
+  structural.  ``distributed_build`` decides through its own scalar helpers,
+  which makes :func:`~repro.distributed.sharding.matches_unsharded` against
+  it a cross-implementation check.
 * **Owned work only is counted.**  Halo tiles get elections and goodness
   computed (boundary pairs need them) but contribute no message counts and no
   good-tile records; an adjacent pair is owned by the shard owning its
@@ -47,12 +41,14 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.goodness import decide_tiles
+from repro.core.overlay import cross_tile_edges
 from repro.core.tiles_base import TileSpec
 from repro.core.tiling import TileIndex, Tiling
-from repro.distributed.construct import cross_tile_edges, elect_tile_leaders, tile_goodness
+from repro.distributed.repair import decision_messages
 from repro.faults.plan import InjectedWorkerCrash
 from repro.kernels import ops as kernel_ops
-from repro.kernels.layout import POSITIONS, ROW_IDS, sort_groups
+from repro.kernels.layout import POSITIONS, ROW_IDS
 from repro.shard.shm import attach_block
 
 __all__ = ["ShardTask", "ShardResult", "build_shard", "run_shard_task"]
@@ -141,103 +137,29 @@ def build_shard(
     shard_id = -1  # set by run_shard_task; direct callers get it from their loop
     result = ShardResult(shard_id=shard_id)
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        result.wall_s = time.perf_counter() - start
-        result.max_rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-        return result
-
-    grid_rows = tiling.n_rows
-    rep_region = spec.representative_region
-    cap = spec.max_points_per_tile(k)
-    counts: Dict[str, int] = {}
-
-    def count(kind: str, n: int) -> None:
-        if n > 0:
-            counts[kind] = counts.get(kind, 0) + n
-
-    member_pts = points[rows]
-    tiles = tiling.tile_of_points(member_pts)
-    cols = tiles[:, 0]
-    tile_rows = tiles[:, 1]
-    owned_mask = (cols >= col_start) & (cols < col_stop)
-    result.n_owned = int(np.count_nonzero(owned_mask))
+    decisions = decide_tiles(points, rows, tiling, spec, k)
+    cols = decisions.tiles[:, 0]
+    owned = (cols >= col_start) & (cols < col_stop)
+    result.n_owned = int(decisions.members[owned].sum())
     result.n_halo = int(rows.size - result.n_owned)
+    counts = decision_messages(decisions, spec, owned)
 
-    # Dense per-tile key over the shard's column span (halo column offset so
-    # keys stay non-negative even when col_start == 0 has no left halo).
-    packed = (cols - (col_start - 1)) * grid_rows + tile_rows
-    _, tile_keys, _, tile_counts = sort_groups(packed)
-
-    # One vectorised classification pass over every shard member.  The
-    # per-member tile centre uses the same expression as Tiling.tile_center,
-    # so `member_pts - centers` is bit-identical to the per-tile local frame.
-    centers = np.empty_like(member_pts)
-    centers[:, 0] = tiling.origin[0] + (cols + 0.5) * tiling.tile_side
-    centers[:, 1] = tiling.origin[1] + (tile_rows + 0.5) * tiling.tile_side
-    masks = spec.classify_points(member_pts - centers)
-
-    # region name → {packed tile key → ascending member ids}.  Stable sort
-    # preserves the ascending-row order within each tile, matching
-    # region_members_of_tile's member lists element for element.
-    region_map: Dict[str, Dict[int, List[int]]] = {}
-    for name, mask in masks.items():
-        per_tile: Dict[int, List[int]] = {}
-        if mask.any():
-            sub_order, key_firsts, group_starts, _ = sort_groups(packed[mask])
-            rows_sorted = rows[mask][sub_order]
-            parts = np.split(rows_sorted, group_starts[1:])
-            per_tile = {int(key): part.tolist() for key, part in zip(key_firsts.tolist(), parts)}
-        region_map[name] = per_tile
-
-    region_names = list(masks.keys())
-    good_owned: List[Tuple[TileIndex, int, Dict[str, int]]] = []
-    all_good: Dict[TileIndex, Tuple[int, Dict[str, int]]] = {}
-
-    for i in range(tile_keys.size):
-        key = int(tile_keys[i])
-        col, row = divmod(key, grid_rows)
-        tile: TileIndex = (col + col_start - 1, row)
-        center = tiling.tile_center(tile)
-        regions: Dict[str, List[int]] = {}
-        for name in region_names:
-            members = region_map[name].get(key)
-            if members is not None:
-                regions[name] = members
-        leaders = elect_tile_leaders(points, regions, center, spec)
-        good, present = tile_goodness(spec, leaders, int(tile_counts[i]), cap)
-        owned = col_start <= tile[0] < col_stop
-        if owned:
-            for members in regions.values():
-                m = len(members)
-                if m >= 2:
-                    count("candidate", m * (m - 1))
-            if rep_region in leaders:
-                rep = leaders[rep_region]
-                handshakes = sum(1 for relay in present.values() if relay != rep)
-                count("connect-request", handshakes)
-                count("connect-ack", handshakes)
-                if good:
-                    count("tile-good", handshakes)
-        if good:
-            record = (int(leaders[rep_region]), {name: int(node) for name, node in present.items()})
-            all_good[tile] = record
-            if owned:
-                good_owned.append((tile, record[0], record[1]))
+    all_good = {tile: (rep, relays) for tile, good, rep, relays in decisions.outcomes(spec) if good}
+    good_owned = [
+        (tile, rep, relays) for tile, (rep, relays) in all_good.items() if col_start <= tile[0] < col_stop
+    ]
 
     edge_parts: List[List[Tuple[int, int]]] = []
     for tile, rep, relays in good_owned:
         neighbours = tiling.neighbours(tile)
         for direction in _PAIR_DIRECTIONS:
-            neighbour = neighbours.get(direction)
-            if neighbour is None:
-                continue
-            other = all_good.get(neighbour)
+            other = all_good.get(neighbours.get(direction))
             if other is None:
                 continue
             pair_edges, (a, b) = cross_tile_edges(spec, direction, rep, relays, other[0], other[1])
             if a != b:
-                count("border-request", 1)
-                count("border-ack", 1)
+                counts["border-request"] = counts.get("border-request", 0) + 1
+                counts["border-ack"] = counts.get("border-ack", 0) + 1
             edge_parts.append(pair_edges)
 
     result.good = good_owned

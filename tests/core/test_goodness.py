@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.goodness import classify_tiles, select_region_leader
+from repro.core.goodness import classify_tiles, decide_tiles, failure_reasons
 from repro.core.tiles_udg import UDGTileSpec
 from repro.core.tiling import Tiling
 from repro.geometry.poisson import poisson_points
@@ -22,19 +22,32 @@ def make_good_tile_points(spec, tile_center):
 
 
 class TestSelectLeader:
-    def test_closest_wins(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.0]])
-        winner = select_region_leader(pts, np.array([0, 1, 2]), anchor=np.array([0.25, 0.0]))
-        assert winner == 2
+    """Leader election through decide_tiles, on one hand-placed C0 region."""
 
-    def test_tie_broken_by_index(self):
-        pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        winner = select_region_leader(pts, np.array([0, 1]), anchor=np.array([0.0, 0.0]))
-        assert winner == 0
+    @staticmethod
+    def _decide(spec, offsets):
+        window = Rect(0, 0, spec.tile_side, spec.tile_side)
+        tiling = Tiling(window=window, tile_side=spec.tile_side)
+        pts = tiling.tile_center((0, 0)) + np.asarray(offsets, dtype=float)
+        return decide_tiles(pts, np.arange(len(pts)), tiling, spec)
 
-    def test_empty_region_rejected(self):
-        with pytest.raises(ValueError):
-            select_region_leader(np.zeros((2, 2)), np.array([], dtype=int), np.zeros(2))
+    def test_closest_wins(self, spec):
+        decisions = self._decide(spec, [[0.0, 0.0], [0.3, 0.0], [0.2, 0.0]])
+        assert decisions.leaders[0, 0] == 0  # C0 anchors at the tile centre
+        decisions = self._decide(spec, [[0.1, 0.0], [0.3, 0.0], [0.02, 0.0]])
+        assert decisions.leaders[0, 0] == 2
+
+    def test_tie_broken_by_index(self, spec):
+        decisions = self._decide(spec, [[0.1, 0.0], [-0.1, 0.0]])
+        assert decisions.leaders[0, 0] == 0
+
+    def test_empty_region_has_no_leader(self, spec):
+        # One point in C0 only: every relay region is empty.
+        decisions = self._decide(spec, [[0.0, 0.0]])
+        assert decisions.leaders[0].tolist() == [0, -1, -1, -1, -1]
+        assert decisions.region_counts[0].tolist() == [1, 0, 0, 0, 0]
+        assert not decisions.good[0]
+        assert failure_reasons(spec)[decisions.failure[0]] == "missing:E_right"
 
 
 class TestClassification:

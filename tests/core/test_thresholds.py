@@ -59,6 +59,39 @@ class TestGoodnessEstimate:
         assert "overcrowded" in est.failure_histogram
 
 
+    def test_seeded_estimates_are_pinned(self):
+        """The single-tile verdict (shared with decide_tiles) reproduces recorded estimates.
+
+        Values recorded with the per-tile rule the shared verdict replaced:
+        same probability and the same failure histogram, insertion order
+        included, for an uncapped UDG spec and an NN spec whose cap binds.
+        """
+        est = estimate_goodness_probability(
+            UDGTileSpec.default(), 12.0, trials=300, rng=np.random.default_rng(11)
+        )
+        assert est.probability == pytest.approx(253 / 300)
+        assert list(est.failure_histogram.items()) == [
+            ("missing:E_right", 13),
+            ("missing:E_left", 7),
+            ("missing:E_top", 12),
+            ("missing:E_bottom", 13),
+            ("missing:C0", 2),
+        ]
+        est = estimate_goodness_probability(
+            NNTileSpec.default(), 1.0, k=170, trials=200, rng=np.random.default_rng(12), parameter=170
+        )
+        assert est.probability == pytest.approx(93 / 200)
+        assert list(est.failure_histogram.items()) == [
+            ("missing:C0", 11),
+            ("overcrowded", 53),
+            ("missing:C_right", 16),
+            ("missing:C_top", 9),
+            ("missing:C_bottom", 7),
+            ("missing:C_left", 10),
+            ("missing:E_right", 1),
+        ]
+
+
 class TestGoodnessCurve:
     def test_threshold_crossing_found(self):
         curve = GoodnessCurve(

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.goodness import select_region_leader
+from repro.core.goodness import decide_tiles
+from repro.core.tiles_udg import UDGTileSpec
+from repro.core.tiling import Tiling
 from repro.distributed.leader_election import elect_leader_distributed, election_key
 from repro.distributed.network import MessageNetwork
+from repro.geometry.primitives import Rect
 
 
 class TestElectionKey:
@@ -45,11 +48,14 @@ class TestDistributedElection:
             elect_leader_distributed(net, [], anchor=np.zeros(2))
 
     def test_agrees_with_centralized_rule(self, rng):
-        """The distributed election and the centralized selection pick the same node."""
-        pts = rng.uniform(0, 1, size=(12, 2))
-        anchor = np.array([0.5, 0.5])
+        """The distributed election and the centralized decide_tiles pick the same node."""
+        spec = UDGTileSpec.default()
+        tiling = Tiling(window=Rect(0, 0, spec.tile_side, spec.tile_side), tile_side=spec.tile_side)
+        anchor = tiling.tile_center((0, 0)) + spec.region_anchor("C0")
+        pts = anchor + rng.uniform(-0.2, 0.2, size=(12, 2))  # all inside C0
         members = np.arange(12)
         net = MessageNetwork(pts, radio_range=5.0)
         distributed = elect_leader_distributed(net, members, anchor)
-        centralized = select_region_leader(pts, members, anchor)
-        assert distributed == centralized
+        decisions = decide_tiles(pts, members, tiling, spec)
+        assert decisions.region_counts[0, 0] == 12
+        assert distributed == decisions.leaders[0, 0]

@@ -174,6 +174,103 @@ class TestRepairLocality:
         assert 0 < report.messages < full_messages / 4
 
 
+def _storm(engine, index, side, rng, steps):
+    """Seeded mobility + churn; returns every update's report as a tuple."""
+    reports = []
+    for _ in range(steps):
+        ids = index.ids()
+        movers = rng.choice(ids, size=8, replace=False)
+        rows = np.searchsorted(ids, movers)
+        index.move(movers, np.clip(index.positions()[rows] + rng.normal(0, 0.5, size=(8, 2)), 0, side))
+        index.delete(rng.choice(index.ids(), size=2, replace=False))
+        index.insert(rng.uniform(0, side, size=(2, 2)))
+        reports.append(tuple(vars(engine.update()).values()))
+    return reports
+
+
+def _nn_world():
+    spec = NNTileSpec.default()
+    side = 2.0 * spec.tile_side
+    return spec, Rect(0.0, 0.0, side, side), side
+
+
+class TestRepairMessageAccounting:
+    """The engine's NetworkStats equal what the message-passing build sends."""
+
+    def test_fresh_engine_stats_equal_distributed_build_udg(self, rng):
+        index = DynamicSpatialIndex(rng.uniform(0, 8, size=(600, 2)), radius=1.0)
+        engine = DistributedRepairEngine(index, SPEC, WINDOW)
+        scratch = distributed_build(index.positions(), SPEC, WINDOW)
+        assert engine.stats.messages_sent == scratch.stats.messages_sent
+        assert engine.stats.messages_by_kind == scratch.stats.messages_by_kind
+        assert engine.stats.rounds == scratch.stats.rounds
+        assert scratch.stats.messages_by_kind.get("border-request", 0) > 0
+
+    def test_fresh_engine_stats_equal_distributed_build_nn(self, rng):
+        spec, window, side = _nn_world()
+        index = DynamicSpatialIndex(rng.uniform(0, side, size=(60, 2)), radius=1.0)
+        engine = DistributedRepairEngine(index, spec, window, k=6)
+        scratch = distributed_build(index.positions(), spec, window, k=6)
+        assert engine.stats.messages_sent == scratch.stats.messages_sent
+        assert engine.stats.messages_by_kind == scratch.stats.messages_by_kind
+        assert engine.stats.rounds == scratch.stats.rounds
+
+    def test_storm_reports_equal_the_per_tile_accounting(self):
+        """Reports recorded with the scalar per-tile repair engine, pinned.
+
+        Each tuple is ``(dirty_tiles, changed_tiles, re_elected_regions,
+        respliced_pairs, messages)``; the batched repair must reproduce the
+        per-tile message sums exactly, update by update.
+        """
+        rng = np.random.default_rng(3)
+        index = DynamicSpatialIndex(rng.uniform(0, 8, size=(600, 2)), radius=1.0)
+        engine = DistributedRepairEngine(index, SPEC, WINDOW)
+        assert engine.stats.messages_sent == 1692
+        assert _storm(engine, index, 8.0, rng, 8) == [
+            (16, 4, 76, 8, 702),
+            (14, 2, 67, 5, 818),
+            (13, 6, 62, 10, 692),
+            (14, 6, 67, 12, 620),
+            (11, 4, 52, 6, 416),
+            (14, 5, 66, 12, 600),
+            (13, 4, 62, 8, 524),
+            (14, 3, 67, 8, 660),
+        ]
+        assert engine.stats.rounds == 45
+        assert engine.stats.messages_sent == 6724
+        assert engine.stats.messages_by_kind == {
+            "border-ack": 100,
+            "border-request": 100,
+            "candidate": 5042,
+            "connect-ack": 519,
+            "connect-request": 519,
+            "tile-good": 444,
+        }
+        assert engine.matches_rebuild()
+
+        spec, window, side = _nn_world()
+        rng = np.random.default_rng(4)
+        index = DynamicSpatialIndex(rng.uniform(0, side, size=(60, 2)), radius=1.0)
+        engine = DistributedRepairEngine(index, spec, window, k=6)
+        assert _storm(engine, index, side, rng, 8) == [
+            (4, 0, 20, 0, 12),
+            (4, 0, 21, 0, 14),
+            (4, 0, 21, 0, 14),
+            (4, 1, 22, 0, 28),
+            (3, 0, 16, 0, 26),
+            (3, 1, 16, 0, 32),
+            (4, 0, 21, 0, 36),
+            (3, 0, 16, 0, 26),
+        ]
+        assert engine.stats.messages_sent == 198
+        assert engine.stats.messages_by_kind == {
+            "candidate": 134,
+            "connect-ack": 32,
+            "connect-request": 32,
+        }
+        assert engine.matches_rebuild()
+
+
 class TestRepairBuildConvenience:
     def test_threaded_engine_round_trip(self, rng):
         pts = rng.uniform(0, 8, size=(120, 2))
