@@ -202,35 +202,28 @@ class TileRecord:
     relays: Mapping[str, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TileClassification:
     """Classification of every tile of a deployment.
 
     This object is the bridge between the continuum side (points, regions) and
     the discrete side (site percolation): :meth:`to_lattice` yields the
     coupled :class:`~repro.percolation.lattice.LatticeConfiguration` whose open
-    sites are exactly the good tiles.
+    sites are exactly the good tiles.  ``good_mask`` is the read-only
+    ``(n_rows, n_cols)`` good-tile array (row = y index), built once by
+    :func:`classify_tiles`; every aggregate view derives from it.
     """
 
     tiling: Tiling
     spec: TileSpec
     k: int | None
     records: Dict[TileIndex, TileRecord]
+    good_mask: np.ndarray
 
     # -- aggregate views --------------------------------------------------------
     @property
-    def good_mask(self) -> np.ndarray:
-        """Boolean ``(n_rows, n_cols)`` array of good tiles (row = y index)."""
-        mask = np.zeros(self.tiling.shape, dtype=bool)
-        for tile, record in self.records.items():
-            if record.good:
-                row, col = self.tiling.lattice_site(tile)
-                mask[row, col] = True
-        return mask
-
-    @property
     def n_good(self) -> int:
-        return sum(1 for r in self.records.values() if r.good)
+        return int(np.count_nonzero(self.good_mask))
 
     @property
     def fraction_good(self) -> float:
@@ -240,7 +233,8 @@ class TileClassification:
 
     def good_tiles(self) -> list[TileIndex]:
         """Tile indices of all good tiles (row-major order)."""
-        return [t for t in self.tiling.tiles() if self.records[t].good]
+        rows, cols = np.nonzero(self.good_mask)
+        return list(zip(cols.tolist(), rows.tolist()))
 
     def record(self, tile: TileIndex) -> TileRecord:
         return self.records[tile]
@@ -258,7 +252,10 @@ class TileClassification:
         return hist
 
     def to_lattice(self, wrap: bool = False) -> LatticeConfiguration:
-        """The coupled site-percolation configuration (open site ⇔ good tile)."""
+        """The coupled site-percolation configuration (open site ⇔ good tile).
+
+        Wraps ``good_mask`` itself, without a copy.
+        """
         return LatticeConfiguration(self.good_mask, wrap=wrap)
 
 
@@ -312,4 +309,8 @@ def classify_tiles(
         tile: decided.get(tile) or TileRecord(tile, no_members, False, reasons[empty[0]], None, {})
         for tile in tiling.tiles()
     }
-    return TileClassification(tiling=tiling, spec=spec, k=k, records=records)
+    good_mask = np.zeros(tiling.shape, dtype=bool)
+    good_tiles = decisions.tiles[decisions.good]
+    good_mask[good_tiles[:, 1], good_tiles[:, 0]] = True
+    good_mask.flags.writeable = False
+    return TileClassification(tiling=tiling, spec=spec, k=k, records=records, good_mask=good_mask)

@@ -18,6 +18,8 @@ representatives is graph-isomorphic to the open subgraph of Z².
 The resulting :class:`OverlayGraph` keeps the mapping back to the original
 point indices and records each node's roles, which is what the degree bound
 (P1), the stretch measurements (P2) and the base-graph edge validation need.
+It also stores, read-only, the lookups a route reads: the original → node
+inverse and the relay chain of every lattice hop.
 """
 
 from __future__ import annotations
@@ -29,12 +31,35 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from repro.core.goodness import TileClassification
-from repro.core.tiles_base import TileSpec
+from repro.core.tiles_base import DIRECTIONS, TileSpec
 from repro.core.tiling import TileIndex
 from repro.graphs.base import GeometricGraph
 from repro.kernels import ops as kernel_ops
 
 __all__ = ["OverlayRole", "OverlayGraph", "build_overlay", "cross_tile_edges"]
+
+
+def _relay_path(
+    spec: TileSpec,
+    direction: str,
+    rep_a: int,
+    relays_a: Mapping[str, int],
+    rep_b: int,
+    relays_b: Mapping[str, int],
+) -> List[int]:
+    """The hop ``rep_a – chain(a) – chain(b) reversed – rep_b`` of one good tile pair.
+
+    ``a`` is the tile owning ``direction``, ``b`` its neighbour; the ids are
+    whatever ``rep``/``relays`` hold (global point ids in every caller).  One
+    point may hold two consecutive roles, so the path may repeat an id.
+    """
+    facing = spec.facing_direction(direction)
+    return (
+        [rep_a]
+        + [relays_a[region] for region in spec.relay_chain(direction)]
+        + [relays_b[region] for region in reversed(spec.relay_chain(facing))]
+        + [rep_b]
+    )
 
 
 def cross_tile_edges(
@@ -48,19 +73,16 @@ def cross_tile_edges(
     """Overlay edges of one good tile pair, plus the border-handshake endpoints.
 
     ``a`` is the tile owning ``direction`` (right/top), ``b`` its neighbour.
-    Returns the ``(min, max)`` edge tuples along the relay path
-    ``rep_a – chain(a) – chain(b) reversed – rep_b`` (consecutive duplicates
-    skipped: one point may hold two consecutive roles) and the two outermost
-    relays whose border handshake precedes the splice.
+    Returns the ``(min, max)`` edge tuples along :func:`_relay_path`
+    (consecutive duplicates skipped) and the two outermost relays whose
+    border handshake precedes the splice.
     """
-    facing = spec.facing_direction(direction)
-    own_chain = [rep_a] + [relays_a[region] for region in spec.relay_chain(direction)]
-    other_chain = [relays_b[region] for region in reversed(spec.relay_chain(facing))] + [rep_b]
-    path = own_chain + other_chain
+    path = _relay_path(spec, direction, rep_a, relays_a, rep_b, relays_b)
     edges = [
         (min(u, v), max(u, v)) for u, v in zip(path[:-1], path[1:]) if u != v
     ]
-    return edges, (own_chain[-1], other_chain[0])
+    border = len(spec.relay_chain(direction))
+    return edges, (path[border], path[border + 1])
 
 
 class OverlayRole(str, Enum):
@@ -70,7 +92,7 @@ class OverlayRole(str, Enum):
     RELAY = "relay"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OverlayGraph:
     """The SENS overlay graph together with its provenance.
 
@@ -88,6 +110,17 @@ class OverlayGraph:
         Mapping good tile → overlay node index of its representative.
     classification:
         The tile classification the overlay was built from.
+    node_of_original:
+        Read-only inverse of ``original_indices`` over every deployment
+        point: the overlay node of a global point index, ``-1`` for points
+        outside the overlay.
+    hop_chains:
+        Read-only ``(n_rows, n_cols, 4, L)`` table of the lattice hops: entry
+        ``[row, col, d]`` lists the overlay nodes a packet visits from the
+        representative of site ``(row, col)`` to the representative of its
+        neighbour in direction ``DIRECTIONS[d]``, that representative last
+        (``L = 2 · len(relay_chain) + 1``).  ``-1`` where either tile of the
+        hop is not good or the neighbour is off the grid.
     """
 
     graph: GeometricGraph
@@ -95,6 +128,8 @@ class OverlayGraph:
     roles: Dict[int, List[Tuple[TileIndex, str, OverlayRole]]]
     tile_representatives: Dict[TileIndex, int]
     classification: TileClassification
+    node_of_original: np.ndarray
+    hop_chains: np.ndarray
 
     # -- views -------------------------------------------------------------------
     @property
@@ -107,10 +142,11 @@ class OverlayGraph:
 
     def node_for_original(self, original_index: int) -> int:
         """Overlay node index of a global point index (KeyError if absent)."""
-        matches = np.nonzero(self.original_indices == original_index)[0]
-        if matches.size == 0:
-            raise KeyError(f"point {original_index} is not part of the overlay")
-        return int(matches[0])
+        if 0 <= original_index < len(self.node_of_original):
+            node = int(self.node_of_original[original_index])
+            if node >= 0:
+                return node
+        raise KeyError(f"point {original_index} is not part of the overlay")
 
     def representative_nodes(self) -> np.ndarray:
         """Overlay node indices acting as a representative of some tile."""
@@ -133,25 +169,29 @@ class OverlayGraph:
         from repro.graphs.metrics import largest_component_nodes
 
         keep = largest_component_nodes(self.graph)
-        keep_set = set(int(i) for i in keep)
-        remap = {int(old): new for new, old in enumerate(sorted(keep_set))}
-        sub = self.graph.subgraph(sorted(keep_set), name=self.graph.name)
+        # One spare slot, so remapping an absent (-1) entry yields -1.
+        remap = np.full(self.n_nodes + 1, -1, dtype=np.int64)
+        remap[keep] = np.arange(len(keep))
+        sub = self.graph.subgraph(keep, name=self.graph.name)
         new_roles = {
-            remap[i]: list(assignments)
+            int(remap[i]): list(assignments)
             for i, assignments in self.roles.items()
-            if i in keep_set
+            if remap[i] >= 0
         }
         new_reps = {
-            tile: remap[node]
+            tile: int(remap[node])
             for tile, node in self.tile_representatives.items()
-            if node in keep_set
+            if remap[node] >= 0
         }
+        # A hop's chain is connected, so it lies wholly inside or outside ``keep``.
         return OverlayGraph(
             graph=sub,
-            original_indices=self.original_indices[sorted(keep_set)],
+            original_indices=self.original_indices[keep],
             roles=new_roles,
             tile_representatives=new_reps,
             classification=self.classification,
+            node_of_original=_read_only(remap[self.node_of_original]),
+            hop_chains=_read_only(remap[self.hop_chains]),
         )
 
     def verify_edges_in_base(self, base_graph: GeometricGraph) -> np.ndarray:
@@ -172,6 +212,11 @@ class OverlayGraph:
             key = (min(oa, ob), max(oa, ob))
             result[i] = key in base_edges
         return result
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_overlay(
@@ -217,12 +262,14 @@ def build_overlay(
     original_indices = np.asarray(sorted(node_roles.keys()), dtype=np.int64)
     local_of = {int(orig): i for i, orig in enumerate(original_indices)}
 
-    # Wire the relay chains between adjacent good tiles.  Each unordered pair
-    # of neighbouring tiles is processed once (via its "right"/"top" side).
-    # Splicing in original-id space and then mapping through the ascending
-    # ``original_indices`` keeps every row oriented and the rows sorted.
+    # Walk the relay path of every adjacent good pair once, from its
+    # right/top side.  Edges are spliced in original-id space and mapped
+    # through the ascending ``original_indices``, which keeps every row
+    # oriented and the rows sorted; the same paths in node ids fill the hop
+    # table, the reverse hop being the path read backwards.
     good_set = set(good_tiles)
-    parts: List[List[Tuple[int, int]]] = []
+    hops: List[Tuple[int, int, int]] = []
+    paths: List[List[int]] = []
     for tile in good_tiles:
         record = classification.records[tile]
         neighbours = tiling.neighbours(tile)
@@ -231,17 +278,33 @@ def build_overlay(
             if neighbour is None or neighbour not in good_set:
                 continue
             other = classification.records[neighbour]
-            pair_edges, _ = cross_tile_edges(
-                spec,
-                direction,
-                record.representative,
-                record.relays,
-                other.representative,
-                other.relays,
+            paths.append(
+                _relay_path(
+                    spec,
+                    direction,
+                    record.representative,
+                    record.relays,
+                    other.representative,
+                    other.relays,
+                )
             )
-            parts.append(pair_edges)
-    edge_array = np.searchsorted(original_indices, kernel_ops.splice_edges(parts))
+            hops.append((*tiling.lattice_site(tile), DIRECTIONS.index(direction)))
+    chain_len = 2 * len(spec.relay_chain("right")) + 1
+    path_ids = np.asarray(paths, dtype=np.int64).reshape(-1, chain_len + 1)
+    u, v = path_ids[:, :-1].ravel(), path_ids[:, 1:].ravel()
+    step = u != v
+    pair_edges = np.column_stack([np.minimum(u, v)[step], np.maximum(u, v)[step]])
+    edge_array = np.searchsorted(original_indices, kernel_ops.splice_edges([pair_edges]))
     graph = GeometricGraph(points[original_indices], edge_array, name=name)
+
+    path_nodes = np.searchsorted(original_indices, path_ids)
+    hop_chains = np.full((*tiling.shape, len(DIRECTIONS), chain_len), -1, dtype=np.int64)
+    row, col, code = np.asarray(hops, dtype=np.int64).reshape(-1, 3).T
+    hop_chains[row, col, code] = path_nodes[:, 1:]
+    # right (0) / top (2) hops reverse into the neighbour's left (1) / bottom (3).
+    hop_chains[row + (code == 2), col + (code == 0), code + 1] = path_nodes[:, -2::-1]
+    node_of_original = np.full(len(points), -1, dtype=np.int64)
+    node_of_original[original_indices] = np.arange(len(original_indices))
 
     roles_local = {local_of[orig]: assignments for orig, assignments in node_roles.items()}
     tile_reps = {
@@ -253,4 +316,6 @@ def build_overlay(
         roles=roles_local,
         tile_representatives=tile_reps,
         classification=classification,
+        node_of_original=_read_only(node_of_original),
+        hop_chains=_read_only(hop_chains),
     )

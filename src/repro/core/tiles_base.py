@@ -18,6 +18,8 @@ Two concrete specs exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -70,8 +72,10 @@ class TileSpec:
         Names of all regions, with the representative region first.
     ``required_regions``
         Regions that must contain at least one point for the tile to be good.
-    ``region_predicates()``
-        Mapping name → :class:`RegionPredicate` in tile-local coordinates.
+    ``_build_region_predicates()``
+        Mapping name → :class:`RegionPredicate` in tile-local coordinates;
+        :meth:`region_predicates` builds it once per spec and returns it
+        read-only thereafter.
     ``region_anchor(name)``
         Nominal centre of a region (tile-local), used to pick one point when a
         region holds several (the centralized stand-in for leader election:
@@ -90,7 +94,24 @@ class TileSpec:
     representative_region: str = "C0"
 
     def region_predicates(self) -> Mapping[str, RegionPredicate]:
+        """Mapping name → predicate in tile-local coordinates, built once per spec."""
+        return self._region_predicates
+
+    @cached_property
+    def _region_predicates(self) -> Mapping[str, RegionPredicate]:
+        # cached_property writes the instance __dict__ directly, so it works
+        # on the frozen dataclass specs and stays out of their fields: the
+        # spec's equality, hash and runner cache key never see it.
+        return MappingProxyType(dict(self._build_region_predicates()))
+
+    def _build_region_predicates(self) -> Mapping[str, RegionPredicate]:
         raise NotImplementedError
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The built predicates are not pickled; an unpickled spec rebuilds them.
+        state = dict(self.__dict__)
+        state.pop("_region_predicates", None)
+        return state
 
     def region_anchor(self, name: str) -> np.ndarray:
         raise NotImplementedError

@@ -187,7 +187,7 @@ class NNTileSpec(TileSpec):
         core = DiscIntersectionPredicate(anchors, radii, bounds)
         return IntersectionPredicate([core, RectPredicate(tile)])
 
-    def region_predicates(self) -> Mapping[str, RegionPredicate]:
+    def _build_region_predicates(self) -> Mapping[str, RegionPredicate]:
         preds: Dict[str, RegionPredicate] = {}
         for name in ("C0", "C_right", "C_left", "C_top", "C_bottom"):
             preds[name] = DiscPredicate(self.c_disc(name))

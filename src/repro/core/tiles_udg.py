@@ -151,7 +151,7 @@ class UDGTileSpec(TileSpec):
         inside_tile = RectPredicate(self.tile_rect())
         return IntersectionPredicate([annulus, near_edge, inside_tile])
 
-    def region_predicates(self) -> Mapping[str, RegionPredicate]:
+    def _build_region_predicates(self) -> Mapping[str, RegionPredicate]:
         preds: Dict[str, RegionPredicate] = {"C0": DiscPredicate(Disc(0.0, 0.0, self.rep_radius))}
         for direction in DIRECTIONS:
             preds[f"E_{direction}"] = self.relay_region(direction)

@@ -7,7 +7,8 @@ site.  Configurations come from two sources in this library:
    the percolation substrate itself (experiment E09) and to drive the
    Angel-et-al routing experiments.
 2. The good-tile indicator of a sensor deployment
-   (:meth:`repro.core.goodness.TileClassification.open_site_mask`) — the
+   (``repro.core.goodness.TileClassification.good_mask``, wrapped without a
+   copy by :meth:`~repro.core.goodness.TileClassification.to_lattice`) — the
    coupling at the heart of the paper.
 """
 

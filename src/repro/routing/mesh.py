@@ -169,8 +169,12 @@ def route_xy_mesh(
     hops = 0
 
     while curr != target and hops <= max_hops:
-        remaining = xy_path(curr, target)[1:]  # excludes curr
-        nxt = remaining[0]
+        # The next x–y site: fix the column first, then the row.
+        r, c = curr
+        if c != target[1]:
+            nxt = (r, c + (1 if target[1] > c else -1))
+        else:
+            nxt = (r + (1 if target[0] > r else -1), c)
         if nxt not in probes:
             probes[nxt] = config.is_open(nxt)
             probe_count += 1
@@ -180,6 +184,7 @@ def route_xy_mesh(
             hops += 1
             continue
         # Next site is closed: BFS through open sites for a later x–y-path site.
+        remaining = xy_path(curr, target)[1:]  # excludes curr
         bfs_path, new_probes = _bfs_to_path_site(config, curr, remaining, probes)
         probe_count += new_probes
         if bfs_path is None:

@@ -17,10 +17,24 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.result import SensNetwork
-from repro.core.tiling import TileIndex
+from repro.core.tiles_base import DIRECTIONS
+from repro.core.tiling import DIRECTION_OFFSETS, TileIndex
 from repro.routing.mesh import MeshRouteResult, route_xy_mesh
 
 __all__ = ["OverlayRouteResult", "route_on_overlay", "expand_site_path"]
+
+
+def _step_codes() -> np.ndarray:
+    codes = np.full((3, 3), -1, dtype=np.int64)
+    for code, direction in enumerate(DIRECTIONS):
+        dc, dr = DIRECTION_OFFSETS[direction]
+        codes[dr + 1, dc + 1] = code
+    return codes
+
+
+#: ``_STEP_CODE[d_row + 1, d_col + 1]`` is the ``DIRECTIONS`` index of a unit
+#: lattice step (the third axis of ``OverlayGraph.hop_chains``); -1 otherwise.
+_STEP_CODE = _step_codes()
 
 
 @dataclass
@@ -58,38 +72,33 @@ class OverlayRouteResult:
 def expand_site_path(network: SensNetwork, site_path: List[Tuple[int, int]]) -> List[int]:
     """Expand a lattice-site path into the overlay node path that realises it.
 
-    Consecutive sites are adjacent good tiles; each lattice hop becomes the
-    relay chain ``rep – relays… – rep`` of the corresponding direction.
-    Repeated nodes from shared roles are collapsed.
+    Consecutive sites are adjacent good tiles; each lattice hop becomes its
+    ``rep – relays… – rep`` chain, read from ``network.overlay.hop_chains``.
+    A node that repeats the previous one (a point holding two consecutive
+    roles) is dropped.  ``ValueError`` when a step leaves the grid, does not
+    join lattice neighbours or touches a bad tile.
     """
-    overlay = network.overlay
-    classification = network.classification
-    tiling = network.tiling
-    spec = network.spec
-
-    def rep_node(tile: TileIndex) -> int:
-        return overlay.tile_representatives[tile]
-
     if not site_path:
         return []
-    tiles = [tiling.tile_of_site(site) for site in site_path]
-    node_path: List[int] = [rep_node(tiles[0])]
-    for a, b in zip(tiles[:-1], tiles[1:]):
-        # Determine the direction of the hop a → b.
-        dc, dr = b[0] - a[0], b[1] - a[1]
-        direction = {(1, 0): "right", (-1, 0): "left", (0, 1): "top", (0, -1): "bottom"}[(dc, dr)]
-        facing = spec.facing_direction(direction)
-        record_a = classification.records[a]
-        record_b = classification.records[b]
-        chain: List[int] = []
-        chain.extend(record_a.relays[region] for region in spec.relay_chain(direction))
-        chain.extend(record_b.relays[region] for region in reversed(spec.relay_chain(facing)))
-        chain.append(record_b.representative)
-        for original in chain:
-            node = overlay.node_for_original(int(original))
-            if node != node_path[-1]:
-                node_path.append(node)
-    return node_path
+    overlay = network.overlay
+    start = overlay.tile_representatives[network.tiling.tile_of_site(site_path[0])]
+    sites = np.asarray(site_path, dtype=np.int64).reshape(-1, 2)
+    steps = np.diff(sites, axis=0)
+    if (
+        (sites < 0).any()
+        or (sites >= overlay.hop_chains.shape[:2]).any()
+        or (np.abs(steps).sum(axis=1) != 1).any()
+    ):
+        raise ValueError("site path must step between neighbouring lattice sites")
+    chains = overlay.hop_chains[
+        sites[:-1, 0], sites[:-1, 1], _STEP_CODE[steps[:, 0] + 1, steps[:, 1] + 1]
+    ]
+    if (chains < 0).any():
+        raise ValueError("site path must step between adjacent good tiles")
+    nodes = np.concatenate([[start], chains.ravel()])
+    keep = np.ones(nodes.size, dtype=bool)
+    np.not_equal(nodes[1:], nodes[:-1], out=keep[1:])
+    return nodes[keep].tolist()
 
 
 def route_on_overlay(

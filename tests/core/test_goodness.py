@@ -1,13 +1,17 @@
 """Tests for tile classification (goodness and point selection)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.goodness import classify_tiles, decide_tiles, failure_reasons
+from repro.core.tiles_nn import NNTileSpec
 from repro.core.tiles_udg import UDGTileSpec
 from repro.core.tiling import Tiling
 from repro.geometry.poisson import poisson_points
 from repro.geometry.primitives import Rect
+from repro.runner.serialize import params_key
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +153,39 @@ class TestClassification:
         assert a.good_mask.tolist() == b.good_mask.tolist()
         for tile in a.good_tiles():
             assert a.records[tile].representative == b.records[tile].representative
+
+
+class TestStoredGoodMask:
+    def test_views_derive_from_the_records(self, spec, rng):
+        window = Rect(0, 0, spec.tile_side * 5, spec.tile_side * 4)
+        tiling = Tiling(window=window, tile_side=spec.tile_side)
+        classification = classify_tiles(poisson_points(window, 12.0, rng), tiling, spec)
+        good = [t for t in tiling.tiles() if classification.records[t].good]
+        assert 0 < len(good) < tiling.n_tiles
+        assert classification.good_tiles() == good
+        assert classification.n_good == len(good)
+        expected = np.zeros(tiling.shape, dtype=bool)
+        for col, row in good:
+            expected[row, col] = True
+        assert classification.good_mask.tolist() == expected.tolist()
+
+
+class TestPredicatesBuiltOnce:
+    @pytest.mark.parametrize("make_spec", [UDGTileSpec.default, lambda: NNTileSpec(a=0.5)])
+    def test_classify_leaves_spec_identity_unchanged(self, make_spec, rng):
+        spec = make_spec()
+        before = (hash(spec), params_key("E00", {"spec": spec}), pickle.dumps(spec))
+        window = Rect(0, 0, spec.tile_side * 3, spec.tile_side * 3)
+        tiling = Tiling(window=window, tile_side=spec.tile_side)
+        classify_tiles(poisson_points(window, 6.0, rng), tiling, spec, k=40)
+        assert spec.region_predicates() is spec.region_predicates()
+        assert spec == make_spec()
+        assert (hash(spec), params_key("E00", {"spec": spec}), pickle.dumps(spec)) == before
+        assert pickle.loads(before[2]).region_predicates().keys() == spec.region_predicates().keys()
+
+    def test_predicates_are_read_only(self, spec):
+        with pytest.raises(TypeError):
+            spec.region_predicates()["C0"] = None
 
 
 class TestNNOccupancyCap:

@@ -1,5 +1,7 @@
 """Tests for the overlay builder (P1 degree bounds, subgraph property, components)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,75 @@ class TestOverlayStructure:
         missing = int(max(overlay.original_indices)) + 1
         with pytest.raises(KeyError):
             overlay.node_for_original(missing)
+
+    def test_node_for_original_rejects_out_of_range_and_absent_ids(self, udg_network):
+        overlay = udg_network.overlay
+        n = udg_network.n_deployed
+        absent = np.setdiff1d(np.arange(n), overlay.original_indices)[0]
+        for original in (-1, n, int(absent)):
+            with pytest.raises(KeyError):
+                overlay.node_for_original(original)
+
+    def test_inverse_covers_every_point(self, udg_network):
+        overlay = udg_network.overlay
+        inverse = overlay.node_of_original
+        assert inverse.shape == (udg_network.n_deployed,)
+        inside = np.flatnonzero(inverse >= 0)
+        assert inside.tolist() == overlay.original_indices.tolist()
+        assert inverse[inside].tolist() == list(range(overlay.n_nodes))
+
+    def test_largest_component_inverse_roundtrips(self, sparse_udg_network):
+        net = sparse_udg_network
+        sens = net.sens
+        inverse = sens.node_of_original
+        assert inverse.shape == (net.n_deployed,)
+        assert np.flatnonzero(inverse >= 0).tolist() == sens.original_indices.tolist()
+        for node, original in enumerate(sens.original_indices.tolist()):
+            assert sens.node_for_original(original) == node
+        dropped = np.setdiff1d(net.overlay.original_indices, sens.original_indices)
+        assert dropped.size
+        for original in dropped.tolist():
+            with pytest.raises(KeyError):
+                sens.node_for_original(original)
+        assert len(sens.tile_representatives) < len(net.overlay.tile_representatives)
+        for tile, node in sens.tile_representatives.items():
+            assert int(sens.original_indices[node]) == net.classification.records[tile].representative
+
+    def test_largest_component_hop_chains_stay_inside(self, sparse_udg_network):
+        sens = sparse_udg_network.sens
+        chains = sens.hop_chains
+        assert chains.min() >= -1 and chains.max() < sens.n_nodes
+        # A hop's chain is connected: wholly kept or wholly dropped.
+        live = chains >= 0
+        assert (live.all(axis=-1) == live.any(axis=-1)).all()
+
+
+class TestFrozenStructures:
+    def test_fields_cannot_be_reassigned(self, udg_network):
+        for obj, field in (
+            (udg_network.overlay, "graph"),
+            (udg_network.overlay, "node_of_original"),
+            (udg_network.sens, "hop_chains"),
+            (udg_network.classification, "records"),
+            (udg_network.classification, "good_mask"),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, None)
+
+    def test_stored_arrays_are_read_only(self, udg_network):
+        for array in (
+            udg_network.classification.good_mask,
+            udg_network.overlay.node_of_original,
+            udg_network.overlay.hop_chains,
+            udg_network.sens.node_of_original,
+            udg_network.sens.hop_chains,
+        ):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
+
+    def test_lattice_wraps_the_stored_mask(self, udg_network):
+        lattice = udg_network.lattice()
+        assert lattice.open_mask is udg_network.classification.good_mask
 
 
 class TestDegreeBounds:
