@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 
+#: Padded strip cells per block of boxes in :func:`empty_box_probability`.
+_COVERAGE_BLOCK_CELLS = 1 << 20
+
+
 def empty_box_probability(
     points: np.ndarray,
     window: Rect,
@@ -59,15 +63,26 @@ def empty_box_probability(
     y0 = rng.uniform(effective.ymin, effective.ymax - box_size, size=n_boxes)
     if len(pts) == 0:
         return 1.0
+    # Each box's closed x-range is one contiguous strip of the points sorted
+    # by x; the strips are padded to the longest one and tested on y
+    # together, in blocks of boxes that bound the padded temporary.
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[order, 0]
+    ys = pts[order, 1]
+    starts = np.searchsorted(xs, x0, side="left")
+    stops = np.searchsorted(xs, x0 + box_size, side="right")
+    width = max(int((stops - starts).max()), 1)
+    block = max(1, _COVERAGE_BLOCK_CELLS // width)
+    offsets = np.arange(width)
     empty = 0
-    for bx, by in zip(x0, y0):
-        inside = (
-            (pts[:, 0] >= bx)
-            & (pts[:, 0] <= bx + box_size)
-            & (pts[:, 1] >= by)
-            & (pts[:, 1] <= by + box_size)
-        )
-        empty += not bool(inside.any())
+    for lo in range(0, n_boxes, block):
+        hi = min(lo + block, n_boxes)
+        slots = starts[lo:hi, None] + offsets
+        in_strip = slots < stops[lo:hi, None]
+        y = ys[np.minimum(slots, len(ys) - 1)]
+        by = y0[lo:hi, None]
+        hit = in_strip & (y >= by) & (y <= by + box_size)
+        empty += int(np.count_nonzero(~hit.any(axis=1)))
     return empty / n_boxes
 
 

@@ -99,11 +99,50 @@ def _candidate_radius(radius: float) -> float:
     return radius * (1.0 + 1e-12)
 
 
-#: Below this radius squared distances go subnormal inside ``cKDTree``, where
-#: their relative rounding error is no longer ~2⁻⁵² and the bracketing-radius
-#: argument of ``KDTreeIndex.count_radius_many`` breaks down; such degenerate
-#: radii take the exact per-hit filter instead.
-_COUNT_FAST_PATH_MIN_RADIUS = 1e-150
+#: Radii in ``[_SQUARE_SAFE_MIN_RADIUS, 1 / _SQUARE_SAFE_MIN_RADIUS]`` keep
+#: ``r²`` a normal float far from under- and overflow, so a squared distance
+#: carries its usual ~2⁻⁵² relative rounding error and can bracket the exact
+#: predicate: ``KDTreeIndex.count_radius_many``'s two-radius counts and the
+#: pair prefilter of :func:`_pairs_within_ball` rely on it.  Radii outside
+#: the range take the exact :func:`within_ball` path for every candidate.
+_SQUARE_SAFE_MIN_RADIUS = 1e-150
+
+
+def _squares_bracket(radius: float) -> bool:
+    """Whether squared distances can decide closed-ball membership at ``radius``."""
+    return _SQUARE_SAFE_MIN_RADIUS <= radius <= 1.0 / _SQUARE_SAFE_MIN_RADIUS
+
+
+def _pairs_within_ball(
+    x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray, radius: float
+) -> np.ndarray:
+    """:func:`within_ball` mask of the pairs ``(i[k], j[k])``, deciding each pair once.
+
+    ``x`` and ``y`` are the coordinate columns.  The differences
+    ``dx = x[i] - x[j]`` and ``dy`` are the very floats :func:`within_ball`
+    would take the ``hypot`` of.  Their rounded squared sum ``d2`` is within
+    a few ULPs of the true ``dx² + dy²``, and ``hypot`` within one ULP of
+    its root, so at a bracketing radius (:func:`_squares_bracket`)
+    ``d2 <= r²·(1 − 1e-12)`` certifies that ``hypot(dx, dy) <= r`` and
+    ``d2 > r²·(1 + 1e-12)`` that it is not.  Only the pairs in the band in
+    between — and every pair at other radii — go to :func:`within_ball`, so
+    the mask is the one :func:`within_ball` alone gives.
+    """
+    dx = x.take(i)
+    dx -= x.take(j)
+    dy = y.take(i)
+    dy -= y.take(j)
+    if not _squares_bracket(radius):
+        return within_ball(np.stack((dx, dy), axis=-1), 0.0, radius)
+    d2 = dx * dx
+    d2 += dy * dy
+    r2 = radius * radius
+    inside = d2 <= r2 * (1.0 - 1e-12)
+    band = np.nonzero(~inside & (d2 <= r2 * (1.0 + 1e-12)))[0]
+    if band.size:
+        band_diff = np.stack((dx[band], dy[band]), axis=-1)
+        inside[band] = within_ball(band_diff, 0.0, radius)
+    return inside
 
 
 @runtime_checkable
@@ -831,9 +870,10 @@ class KDTreeIndex(_IndexBase):
         strictly inside the closed ball, every closed-ball point is included
         by the upper count, so wherever the two counts coincide the shell is
         empty and the count is already exact.  Only the (rare) centers whose
-        counts differ are re-counted with the exact predicate.  Tiny radii —
-        where squared distances go subnormal and the bracketing argument
-        breaks down — take the exact path for every center with a candidate.
+        counts differ are re-counted with the exact predicate.  Radii outside
+        :func:`_squares_bracket` — where squared distances go subnormal or
+        overflow and the bracketing argument breaks down — take the exact
+        path for every center with a candidate.
         """
         _check_radius(radius)
         centers = as_points(centers)
@@ -849,7 +889,7 @@ class KDTreeIndex(_IndexBase):
             ),
             dtype=np.int64,
         )
-        if radius < _COUNT_FAST_PATH_MIN_RADIUS:
+        if not _squares_bracket(radius):
             counts = np.zeros(len(centers), dtype=np.int64)
             ambiguous = np.nonzero(upper)[0]
         else:
@@ -876,8 +916,10 @@ class KDTreeIndex(_IndexBase):
         pairs = self._tree.query_pairs(r=_candidate_radius(radius), output_type="ndarray")
         if pairs.size == 0:
             return np.zeros((0, 2), dtype=np.int64)
-        pairs = pairs.astype(np.int64, copy=False)
-        pairs = pairs[within_ball(self.points[pairs[:, 0]], self.points[pairs[:, 1]], radius)]
+        x, y = self.points[:, 0], self.points[:, 1]
+        keep = _pairs_within_ball(x, y, pairs[:, 0], pairs[:, 1], radius)
+        if not keep.all():
+            pairs = pairs[keep]
         # cKDTree reports each pair once with i < j, in no particular order.
         return kernel_ops.splice_edges([pairs])
 

@@ -287,18 +287,37 @@ class DiscIntersectionPredicate(RegionPredicate):
             raise ValueError("radii must be non-negative")
         self.radii = radii_arr
         self.bounds = bounds
+        # ``contains`` admits q only if d²(q, c) <= r(c)² + 1e-12 for every
+        # anchor c, and that needs |qx − cx| and |qy − cy| <= sqrt(r(c)² +
+        # 1e-12) up to a few ULPs of rounding.  So no admitted point lies
+        # outside this box: the per-anchor reach, widened by one part in 10⁹
+        # and then by two ULPs of each edge, intersected over the anchors.
+        # It is derived here, not taken from ``bounds``, which callers clip.
+        reach = np.sqrt(self.radii**2 + 1e-12) * (1.0 + 1e-9)
+        lo = np.max(self.anchors - reach[:, None], axis=0)
+        hi = np.min(self.anchors + reach[:, None], axis=0)
+        for _ in range(2):
+            lo = np.nextafter(lo, -np.inf)
+            hi = np.nextafter(hi, np.inf)
+        self._box_lo = lo
+        self._box_hi = hi
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = as_points(points)
-        if len(pts) == 0:
-            return np.zeros(0, dtype=bool)
+        out = np.zeros(len(pts), dtype=bool)
+        lo, hi = self._box_lo, self._box_hi
+        in_box = np.nonzero(
+            (pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0]) & (pts[:, 1] >= lo[1]) & (pts[:, 1] <= hi[1])
+        )[0]
+        if in_box.size == 0:
+            return out
+        candidates = pts[in_box]
         # Process in chunks to bound the (n_points × n_anchors) temporary.
         chunk = max(1, int(2_000_000 / max(len(self.anchors), 1)))
-        out = np.empty(len(pts), dtype=bool)
         r2 = self.radii**2
-        for start in range(0, len(pts), chunk):
-            block = pts[start : start + chunk]
+        for start in range(0, len(candidates), chunk):
+            block = candidates[start : start + chunk]
             diff = block[:, None, :] - self.anchors[None, :, :]
             d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            out[start : start + chunk] = np.all(d2 <= r2[None, :] + 1e-12, axis=1)
+            out[in_box[start : start + chunk]] = np.all(d2 <= r2[None, :] + 1e-12, axis=1)
         return out

@@ -20,6 +20,29 @@ from repro.kernels import ops as kernel_ops
 __all__ = ["GeometricGraph"]
 
 
+def _canonical_edges(edges: np.ndarray) -> np.ndarray:
+    """Read-only canonical form of range-checked, loop-free int64 ``edges``.
+
+    Builder output is canonical already — every row ``a < b``, rows strictly
+    increasing in lexicographic order — and costs one O(m) check and a
+    copy, so the caller's array never aliases the graph's.  Anything else
+    is oriented smaller-first and spliced (sorted, duplicates dropped).
+    """
+    a, b = edges[:, 0], edges[:, 1]
+    if bool(np.all(a < b)):
+        step = np.diff(a)
+        if bool(np.all(step >= 0)) and bool(np.all((step > 0) | (b[1:] > b[:-1]))):
+            out = edges.copy()
+            out.flags.writeable = False
+            return out
+    flipped = a > b
+    if flipped.any():
+        edges = np.where(flipped[:, None], edges[:, ::-1], edges)
+    out = kernel_ops.splice_edges([edges])
+    out.flags.writeable = False
+    return out
+
+
 @dataclass
 class GeometricGraph:
     """Undirected geometric graph with embedded node positions.
@@ -30,7 +53,8 @@ class GeometricGraph:
         ``(n, 2)`` node coordinates.
     edges:
         ``(m, 2)`` integer array of undirected edges; each row is stored with
-        the smaller index first and rows are unique.
+        the smaller index first and rows are unique and sorted.  The stored
+        array is the graph's own read-only copy.
     name:
         Human-readable label used in experiment tables
         (e.g. ``"UDG(2, 1.8)"`` or ``"UDG-SENS"``).
@@ -53,12 +77,7 @@ class GeometricGraph:
             raise ValueError("edge endpoints out of range")
         if edges.size and np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loops are not allowed")
-        # Orient rows smaller-first; builder output already is, so this
-        # copies only for hand-made edge lists.
-        flipped = edges[:, 0] > edges[:, 1]
-        if flipped.any():
-            edges = np.where(flipped[:, None], edges[:, ::-1], edges)
-        self.edges = kernel_ops.splice_edges([edges])
+        self.edges = _canonical_edges(edges)
 
     # -- basic accessors ------------------------------------------------------
     @property

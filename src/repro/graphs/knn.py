@@ -56,14 +56,22 @@ def knn_neighbour_indices(points: np.ndarray, k: int, backend: str = "kdtree") -
     if k_eff == 0:
         return np.full((n, k), -1, dtype=np.int64)
     index = build_index(pts, backend=backend, cell_size=_knn_cell_size(pts, k_eff))
-    # Query k_eff + 1 because the nearest hit is the point itself.
+    # Query k_eff + 1 because the nearest hit is normally the point itself.
     idx = index.query_nearest(pts, k_eff + 1)
-    # Move each row's own index (when present) to the back, keeping the
-    # others in nearest-first order: a stable sort of the "is self" flags.
-    is_self = idx == np.arange(n, dtype=idx.dtype)[:, None]
-    order = np.argsort(is_self, axis=1, kind="stable")[:, :k_eff]
-    neighbours = np.full((n, k), -1, dtype=np.int64)
-    neighbours[:, :k_eff] = np.take_along_axis(idx, order, axis=1)
+    # A row whose nearest hit is the point itself drops column 0.  Any other
+    # row (a coincident point came first) moves its own index, when present,
+    # to the back and keeps the others nearest first: a stable sort of its
+    # "is self" flags.
+    neighbours = np.empty((n, k), dtype=np.int64)
+    neighbours[:, k_eff:] = -1
+    neighbours[:, :k_eff] = idx[:, 1:]
+    own = np.arange(n, dtype=idx.dtype)
+    rest = np.nonzero(idx[:, 0] != own)[0]
+    if rest.size:
+        others = idx[rest]
+        is_self = others == own[rest, None]
+        order = np.argsort(is_self, axis=1, kind="stable")[:, :k_eff]
+        neighbours[rest, :k_eff] = np.take_along_axis(others, order, axis=1)
     return neighbours
 
 

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.serve.batching import DEFAULT_HIGH_WATER, DEFAULT_TICK_INTERVAL
 from repro.serve.server import ServeDaemon, ServeSession, run_stdio
 from repro.serve.snapshot import restore_world
 from repro.serve.world import LiveWorld, WorldConfig
@@ -63,12 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     daemon = parser.add_argument_group("daemon")
     daemon.add_argument(
-        "--tick-interval", type=float, default=0.05, help="seconds between applied ticks"
+        "--tick-interval",
+        type=float,
+        default=DEFAULT_TICK_INTERVAL,
+        help="seconds the daemon sleeps between applied ticks",
     )
     daemon.add_argument(
         "--high-water",
         type=int,
-        default=50_000,
+        default=DEFAULT_HIGH_WATER,
         help="pending-event bound before backpressure rejections",
     )
     daemon.add_argument(

@@ -42,7 +42,14 @@ import numpy as np
 
 from repro.serve.protocol import Request
 
-__all__ = ["PendingEvent", "CoalescedBatch", "TickBatcher", "coalesce_events"]
+__all__ = [
+    "DEFAULT_HIGH_WATER",
+    "DEFAULT_TICK_INTERVAL",
+    "PendingEvent",
+    "CoalescedBatch",
+    "TickBatcher",
+    "coalesce_events",
+]
 
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 _EMPTY_POINTS = np.zeros((0, 2), dtype=np.float64)
@@ -158,6 +165,13 @@ def coalesce_events(
     )
 
 
+#: Default tick interval in seconds: the TCP daemon's sleep between flushes
+#: and the unit of every ``retry_after`` hint.
+DEFAULT_TICK_INTERVAL = 0.05
+#: Default pending-event bound before backpressure refusals.
+DEFAULT_HIGH_WATER = 50_000
+
+
 class TickBatcher:
     """Bounded buffer of pending update events with explicit backpressure.
 
@@ -177,7 +191,10 @@ class TickBatcher:
     """
 
     def __init__(
-        self, high_water: int = 50_000, tick_interval: float = 0.05, start_seq: int = 1
+        self,
+        high_water: int = DEFAULT_HIGH_WATER,
+        tick_interval: float = DEFAULT_TICK_INTERVAL,
+        start_seq: int = 1,
     ) -> None:
         if high_water < 1:
             raise ValueError("high_water must be positive")

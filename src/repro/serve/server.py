@@ -13,8 +13,9 @@ without sockets, sleeps or wall time.
 Two transports drive the session:
 
 * :class:`ServeDaemon` — the production asyncio TCP front-end.  A timer
-  task flushes every ``tick_interval`` seconds and routes each deferred
-  reply back to the connection that sent the event; queries answer
+  task sleeps ``tick_interval`` seconds, flushes, and sleeps again, so the
+  real tick period is ``tick_interval`` plus the flush time.  It routes each
+  deferred reply back to the connection that sent the event; queries answer
   immediately against the last applied tick.  Updates past the batcher's
   high-water mark are refused with ``retry_after`` (explicit backpressure,
   never an unbounded queue).
@@ -36,7 +37,13 @@ import numpy as np
 
 from repro.faults.plan import KILL, FaultInjector, ServeKilled
 from repro.runner.store import ResultStore
-from repro.serve.batching import PendingEvent, TickBatcher, coalesce_events
+from repro.serve.batching import (
+    DEFAULT_HIGH_WATER,
+    DEFAULT_TICK_INTERVAL,
+    PendingEvent,
+    TickBatcher,
+    coalesce_events,
+)
 from repro.serve.clock import monotonic_now
 from repro.serve.metrics import LatencyRecorder
 from repro.serve.protocol import (
@@ -82,7 +89,8 @@ class ServeSession:
     world:
         The served :class:`LiveWorld`.
     tick_interval:
-        Nominal tick period; sizes ``retry_after`` hints and the TCP timer.
+        The TCP timer's sleep between flushes; also sizes ``retry_after``
+        hints.
     high_water:
         Pending-queue bound (events) before backpressure kicks in.
     snapshot_store:
@@ -102,8 +110,8 @@ class ServeSession:
     def __init__(
         self,
         world: LiveWorld,
-        tick_interval: float = 0.05,
-        high_water: int = 50_000,
+        tick_interval: float = DEFAULT_TICK_INTERVAL,
+        high_water: int = DEFAULT_HIGH_WATER,
         snapshot_store: Union[str, pathlib.Path, ResultStore, None] = None,
         clock: Callable[[], float] = monotonic_now,
         injector: Optional[FaultInjector] = None,

@@ -96,3 +96,86 @@ class TestMeasureCoverage:
         p_sparse = empty_box_probability(sparse, window, 2.0, n_boxes=300, rng=rng)
         p_dense = empty_box_probability(dense, window, 2.0, n_boxes=300, rng=rng)
         assert p_dense <= p_sparse
+
+
+def _loop_empty_box_probability(points, window, box_size, n_boxes, rng, margin=0.0):
+    """The per-box loop the strip search replaced: the reference."""
+    effective = window.shrink(margin) if margin > 0 else window
+    x0 = rng.uniform(effective.xmin, effective.xmax - box_size, size=n_boxes)
+    y0 = rng.uniform(effective.ymin, effective.ymax - box_size, size=n_boxes)
+    empty = 0
+    for bx, by in zip(x0, y0):
+        inside = (
+            (points[:, 0] >= bx)
+            & (points[:, 0] <= bx + box_size)
+            & (points[:, 1] >= by)
+            & (points[:, 1] <= by + box_size)
+        )
+        empty += not bool(inside.any())
+    return empty / n_boxes
+
+
+class TestEmptyBoxPins:
+    """Probabilities recorded with the per-box loop the strip search replaced.
+
+    Same rng draws and closed comparisons, so the values are exact.
+    """
+
+    WINDOW = Rect(0.0, 0.0, 20.0, 20.0)
+
+    def test_uniform_points(self):
+        pts = np.random.default_rng(11).uniform(0, 20, size=(300, 2))
+        got = [
+            empty_box_probability(
+                pts, self.WINDOW, side, n_boxes=250, rng=np.random.default_rng(12), margin=margin
+            )
+            for side in (0.5, 1.0, 2.0, 3.0)
+            for margin in (0.0, 1.5)
+        ]
+        assert got == [0.824, 0.832, 0.468, 0.464, 0.064, 0.06, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "corner, expected", [("lower_left", 31 / 120), ("upper_right", 52 / 120)]
+    )
+    def test_points_on_box_corners(self, corner, expected):
+        # Draw the boxes with the same stream, then put points exactly on
+        # their corners: closed comparisons count those boxes as covered.
+        side = 2.0
+        rng = np.random.default_rng(13)
+        x0 = rng.uniform(0.0, 20.0 - side, size=120)
+        y0 = rng.uniform(0.0, 20.0 - side, size=120)
+        if corner == "lower_left":
+            pts = np.column_stack([x0, y0])[::2]
+        else:
+            pts = np.column_stack([x0 + side, y0 + side])[1::3]
+        got = empty_box_probability(pts, self.WINDOW, side, n_boxes=120, rng=np.random.default_rng(13))
+        assert got == expected
+
+    def test_clustered_measure_coverage(self):
+        rng = np.random.default_rng(14)
+        pts = np.vstack([rng.normal(5, 0.3, size=(200, 2)), rng.uniform(0, 20, size=(40, 2))])
+        pts = np.clip(pts, 0, 20)
+        report = measure_coverage(
+            pts, self.WINDOW, (0.5, 1.0, 2.0, 3.0), n_boxes=300, rng=np.random.default_rng(15)
+        )
+        assert report.empty_probabilities.tolist() == [
+            0.9633333333333334,
+            0.8333333333333334,
+            0.62,
+            0.34,
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_box_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        lattice = np.stack(np.meshgrid(np.arange(0, 20, 0.5), np.arange(0, 20, 2.5)), -1).reshape(-1, 2)
+        clustered = np.clip(rng.normal(12, 1.0, size=(150, 2)), 0, 20)
+        pts = np.vstack([lattice, clustered, rng.uniform(0, 20, size=(50, 2))])
+        for side in (0.25, 1.0, 2.5, 7.0):
+            got = empty_box_probability(
+                pts, self.WINDOW, side, n_boxes=300, rng=np.random.default_rng(seed + 10), margin=0.5
+            )
+            expected = _loop_empty_box_probability(
+                pts, self.WINDOW, side, 300, np.random.default_rng(seed + 10), margin=0.5
+            )
+            assert got == expected

@@ -1,5 +1,7 @@
 """Tests for tile classification (goodness and point selection)."""
 
+import hashlib
+import json
 import pickle
 
 import numpy as np
@@ -201,3 +203,40 @@ class TestNNOccupancyCap:
         record = classification.records[(0, 0)]
         assert not record.good
         assert record.failure_reason == "overcrowded"
+
+
+class TestNNClassificationPins:
+    """NN-SENS tile records pinned to digests recorded before the E-region
+    predicates gained their bounding-box prefilter."""
+
+    @staticmethod
+    def _digest(classification):
+        rows = [
+            [
+                list(tile),
+                record.point_indices.tolist(),
+                record.good,
+                record.failure_reason,
+                record.representative,
+                sorted(record.relays.items()),
+            ]
+            for tile, record in sorted(classification.records.items())
+        ]
+        return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "seed, side, intensity, n_good, digest",
+        [
+            (1, 36.0, 1.0, 9, "6ec206869082291504f2ec727db71c991030ee247031728a0e42167a98b3f657"),
+            (2, 36.0, 0.8, 9, "16aab4c5aa940ce2d72e7e0d92a9e8b8dac680a905c46ca12e32c5cbc678f879"),
+            (3, 36.0, 1.2, 11, "0ee9e1f146253791572d17ec11e49877a41351b61ab746d520b0c3b488f80af9"),
+            (4, 60.0, 1.0, 23, "774b1a6c05e21587ff1d36eebc6705cce014f2b09935893378517dcd8cae28d4"),
+        ],
+    )
+    def test_records_match_recorded_digest(self, seed, side, intensity, n_good, digest):
+        spec = NNTileSpec.default()
+        window = Rect(0, 0, side, side)
+        pts = poisson_points(window, intensity, np.random.default_rng(seed))
+        classification = classify_tiles(pts, Tiling(window, spec.tile_side), spec, k=188)
+        assert classification.n_good == n_good
+        assert self._digest(classification) == digest

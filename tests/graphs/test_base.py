@@ -80,3 +80,52 @@ class TestSubgraph:
 
     def test_with_name(self, square_graph):
         assert square_graph.with_name("renamed").name == "renamed"
+
+
+class TestCanonicalEdges:
+    @staticmethod
+    def _points(n=30):
+        return np.random.default_rng(5).uniform(0, 5, size=(n, 2))
+
+    def test_canonical_input_stored_read_only_without_splice(self, monkeypatch):
+        from repro.kernels import ops
+
+        def no_splice(parts):
+            raise AssertionError("canonical edges were spliced again")
+
+        monkeypatch.setattr(ops, "splice_edges", no_splice)
+        edges = np.array([[0, 1], [0, 7], [2, 3], [2, 29], [5, 6]], dtype=np.int64)
+        g = GeometricGraph(self._points(), edges)
+        assert np.array_equal(g.edges, edges)
+        assert g.edges.dtype == np.int64
+        assert not g.edges.flags.writeable
+        assert not np.shares_memory(g.edges, edges)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0], [7, 0], [3, 2]],  # reversed
+            [[0, 1], [0, 1], [2, 3]],  # duplicated
+            [[2, 3], [0, 7], [0, 1]],  # unsorted
+            [[0, 7], [0, 1], [1, 0], [3, 2], [2, 3]],  # all three
+        ],
+    )
+    def test_non_canonical_rows_made_canonical(self, rows):
+        g = GeometricGraph(self._points(), np.asarray(rows))
+        expected = sorted({(min(a, b), max(a, b)) for a, b in rows})
+        assert g.edges.tolist() == [list(e) for e in expected]
+        assert not g.edges.flags.writeable
+
+    @pytest.mark.parametrize(
+        "rows", [[[0, 1], [2, 3]], [[3, 2], [1, 0]]], ids=["canonical", "spliced"]
+    )
+    def test_caller_mutation_does_not_reach_graph(self, rows):
+        edges = np.asarray(rows, dtype=np.int64)
+        g = GeometricGraph(self._points(), edges)
+        before = g.edges.copy()
+        edges[:] = [[4, 5], [6, 7]]
+        assert np.array_equal(g.edges, before)
+
+    def test_empty_edges(self):
+        g = GeometricGraph(self._points(), np.zeros((0, 2), dtype=np.int64))
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64

@@ -56,6 +56,40 @@ class TestNeighbourIndices:
         if backend == "grid":  # index-order ties: 5 and 6 never see themselves
             assert got[5].tolist() == [0, 1, 2] and got[6].tolist() == [0, 1, 2]
 
+    def test_self_outside_column_zero(self, monkeypatch):
+        # Rows of a stub index: self first (row 0), self later (row 1), self
+        # absent (row 2).  Only row 0 drops column 0; row 1 moves itself to
+        # the back, row 2 keeps its first k hits.
+        import repro.graphs.knn as knn_module
+
+        hits = np.array([[0, 2, 1, 3], [2, 3, 1, 0], [0, 1, 3, 2], [3, 0, 1, 2]])
+
+        class StubIndex:
+            def query_nearest(self, centers, k):
+                assert k == 4
+                return hits
+
+        monkeypatch.setattr(knn_module, "build_index", lambda *a, **kw: StubIndex())
+        pts = np.arange(8, dtype=float).reshape(4, 2)
+        got = knn_neighbour_indices(pts, 3)
+        assert got.tolist() == [[2, 1, 3], [2, 3, 0], [0, 1, 3], [0, 1, 2]]
+
+    @pytest.mark.parametrize("backend", ["kdtree", "grid"])
+    def test_coincident_rows_match_stable_self_sort(self, rng, backend):
+        # The stable argsort of the "is self" flags over every row is the
+        # reference the per-row fast path must reproduce.
+        clusters = np.repeat(rng.uniform(0, 5, size=(3, 2)), 5, axis=0)
+        pts = np.vstack([clusters, rng.uniform(0, 5, size=(30, 2))])
+        k = 6
+        idx = build_index(pts, backend=backend, cell_size=_knn_cell_size(pts, k)).query_nearest(
+            pts, k + 1
+        )
+        is_self = idx == np.arange(len(pts))[:, None]
+        order = np.argsort(is_self, axis=1, kind="stable")[:, :k]
+        expected = np.take_along_axis(idx, order, axis=1)
+        assert np.array_equal(knn_neighbour_indices(pts, k, backend=backend), expected)
+        assert (idx[:, 0] != np.arange(len(pts))).any()
+
     def test_nearest_first_ordering(self, rng):
         pts = rng.uniform(0, 5, size=(40, 2))
         nbrs = knn_neighbour_indices(pts, 4)
