@@ -22,15 +22,16 @@ deployment density — that is the quantity the benchmarks track.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from repro.core.result import SensNetwork
 from repro.graphs.base import GeometricGraph
 from repro.rng import resolve_rng
+
+if TYPE_CHECKING:
+    from scipy.sparse import coo_matrix
 
 __all__ = ["path_power", "min_power_distances", "PowerReport", "power_stretch"]
 
@@ -55,11 +56,16 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must lie in [{BETA_RANGE[0]}, {BETA_RANGE[1]}], got {beta}")
 
 
-def _power_adjacency(graph: GeometricGraph, beta: float) -> coo_matrix:
+def _adjacency(graph: GeometricGraph, beta: float | None) -> coo_matrix:
+    """Symmetric adjacency weighted by edge length (``beta=None``) or ``length^β``."""
+    from scipy.sparse import coo_matrix
+
     n = graph.n_nodes
     if graph.n_edges == 0:
         return coo_matrix((n, n))
-    weights = graph.edge_lengths() ** beta
+    weights = graph.edge_lengths()
+    if beta is not None:
+        weights = weights**beta
     rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
     cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
     data = np.concatenate([weights, weights])
@@ -70,8 +76,10 @@ def min_power_distances(
     graph: GeometricGraph, sources: Sequence[int], beta: float = 2.0
 ) -> np.ndarray:
     """Minimum path power from each source to every node (``inf`` if unreachable)."""
+    from scipy.sparse.csgraph import dijkstra
+
     _check_beta(beta)
-    adj = _power_adjacency(graph, beta)
+    adj = _adjacency(graph, beta)
     indices = np.asarray(list(sources), dtype=np.int64)
     return dijkstra(adj, directed=False, indices=indices)
 
@@ -130,6 +138,8 @@ def power_stretch(
     ValueError
         If fewer than two SENS nodes exist or no valid pair could be sampled.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     _check_beta(beta)
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
@@ -148,8 +158,8 @@ def power_stretch(
     sens_power = min_power_distances(sens.graph, src_local, beta)
     base_power = min_power_distances(base, src_original, beta)
     # Distance stretch of the same pairs, to compute the δ^β bound.
-    sens_dist = dijkstra(_length_adjacency(sens.graph), directed=False, indices=src_local)
-    base_dist = dijkstra(_length_adjacency(base), directed=False, indices=src_original)
+    sens_dist = dijkstra(_adjacency(sens.graph, None), directed=False, indices=src_local)
+    base_dist = dijkstra(_adjacency(base, None), directed=False, indices=src_original)
 
     ratios: list[float] = []
     stretches: list[float] = []
@@ -181,13 +191,3 @@ def power_stretch(
         distance_stretch_bound=float(delta**beta) if np.isfinite(delta) else float("inf"),
     )
 
-
-def _length_adjacency(graph: GeometricGraph) -> coo_matrix:
-    n = graph.n_nodes
-    if graph.n_edges == 0:
-        return coo_matrix((n, n))
-    weights = graph.edge_lengths()
-    rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
-    data = np.concatenate([weights, weights])
-    return coo_matrix((data, (rows, cols)), shape=(n, n))

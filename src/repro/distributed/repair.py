@@ -180,7 +180,7 @@ class DistributedRepairEngine:
         self._outcome: Dict[TileIndex, _Outcome] = {}
         #: (tile, direction) → spliced overlay edges of that good pair.
         self._pair_edges: Dict[Tuple[TileIndex, str], List[Tuple[int, int]]] = {}
-        #: The spliced :meth:`result`, memoised until the next non-empty update.
+        #: The spliced :meth:`result`, memoised until an update changes a tile.
         self._result: Optional[DistributedBuildResult] = None
 
         # The full pass is a repair from the empty state in which every alive
@@ -272,7 +272,6 @@ class DistributedRepairEngine:
         return self._repair(dirty, deleted)
 
     def _repair(self, dirty: np.ndarray, deleted: np.ndarray) -> RepairReport:
-        self._result = None
         messages_before = self.stats.messages_sent
 
         # Every dirty or deleted node leaves its tile; dirty in-grid nodes
@@ -292,6 +291,10 @@ class DistributedRepairEngine:
                 dirty_tiles.add(tile)
 
         changed, re_elected = self._decide(dirty_tiles)
+        if changed:
+            # Only a changed tile's outcome, and the pairs re-spliced around
+            # it, feed result(); the stats it carries are the live object.
+            self._result = None
 
         pairs: Set[Tuple[TileIndex, str]] = set()
         for col, row in changed:
@@ -322,7 +325,8 @@ class DistributedRepairEngine:
         pass plus every repair since.
 
         The result is spliced once and then returned as the same object
-        until the next non-empty :meth:`update`; treat it as read-only.
+        until an :meth:`update` changes some tile's outcome; treat it as
+        read-only.
         """
         if self._result is None:
             # Canonical sorted unique pairs from the per-(tile, direction) edge

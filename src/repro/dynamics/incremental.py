@@ -55,7 +55,8 @@ from repro.geometry.index import (
     BACKENDS,
     GridIndex,
     KDTreeIndex,
-    _pairs_from_lists,
+    _canonical_pairs,
+    _flatten_lists,
     within_ball,
 )
 from repro.geometry.primitives import as_points
@@ -567,18 +568,6 @@ class DynamicSpatialIndex:
         center = np.asarray(tuple(center), dtype=np.float64)
         return self._query_one(center, radius)
 
-    def _grid_query_many(self, centers: np.ndarray, radius: float) -> List[np.ndarray]:
-        """One-gather bulk answers off the patched cell table (id space)."""
-        view = self._grid_view()
-        if view is None:  # packed-key span overflow: scalar fallback
-            return [self._grid_query_one(c, radius) for c in centers]
-        cand_queries, cand_ids = view._matches(centers, radius)
-        # Same combined-key grouping kernel as the static bulk path, with node
-        # ids (bounded by the id high-water mark) as the minor key.
-        return kernel_ops.pair_candidates(
-            cand_queries, cand_ids, len(centers), self._size
-        )
-
     def _kdtree_query_many(self, centers: np.ndarray, radius: float) -> List[np.ndarray]:
         """Bulk base-tree pass with the divergence buffer merged per center."""
         base_lists = self._base.query_radius_many(centers, radius)
@@ -597,14 +586,38 @@ class DynamicSpatialIndex:
             out.append(np.sort(ids))
         return out
 
+    def ball_matches(
+        self, centers: np.ndarray, radius: float, self_join: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every (center row, alive id) pair within ``radius``: flat ``(owners, members)``, unordered.
+
+        The flat form the bulk queries and the topology tracker consume.  The
+        grid backend runs the static one-gather ``_matches`` engine over a
+        :meth:`~repro.geometry.index.GridIndex.from_cell_table` view of its
+        patched cell table; the KD-tree backend flattens its merged per-center
+        answers.  With ``self_join`` (the centers are the alive nodes, in
+        :meth:`ids` order) each unordered pair is guaranteed only once, in
+        either orientation (see ``GridIndex._matches``).
+        """
+        _check_radius(radius)
+        centers = as_points(centers)
+        if len(centers) == 0 or self._n_alive == 0:
+            return _EMPTY_IDS.copy(), _EMPTY_IDS.copy()
+        if self.backend == "kdtree":
+            return _flatten_lists(self._kdtree_query_many(centers, radius))
+        view = self._grid_view()
+        if view is None:  # packed-key span overflow: scalar fallback
+            return _flatten_lists([self._grid_query_one(c, radius) for c in centers])
+        return view._matches(centers, radius, self_join)
+
     def query_radius_many(self, centers: np.ndarray, radius: float) -> List[np.ndarray]:
         """Per-center id arrays, vectorised (byte-identical to the scalar loop).
 
-        The grid backend runs the static one-gather ``_matches`` scheme over a
-        :meth:`~repro.geometry.index.GridIndex.from_cell_table` view of its
-        patched cell table; the KD-tree backend answers the base tree in one
-        parallel bulk pass and merges the divergence buffer through a second
-        index over just the diverged points.
+        The grid backend groups :meth:`ball_matches` per center, with node ids
+        (bounded by the id high-water mark) as the minor sort key; the KD-tree
+        backend answers the base tree in one parallel bulk pass and merges the
+        divergence buffer through a second index over just the diverged
+        points.
         """
         _check_radius(radius)
         centers = as_points(centers)
@@ -612,9 +625,10 @@ class DynamicSpatialIndex:
             return []
         if self._n_alive == 0:
             return [_EMPTY_IDS.copy() for _ in range(len(centers))]
-        if self.backend == "grid":
-            return self._grid_query_many(centers, radius)
-        return self._kdtree_query_many(centers, radius)
+        if self.backend == "kdtree":
+            return self._kdtree_query_many(centers, radius)
+        owners, members = self.ball_matches(centers, radius)
+        return kernel_ops.pair_candidates(owners, members, len(centers), self._size)
 
     def count_radius_many(self, centers: np.ndarray, radius: float) -> np.ndarray:
         """Per-center neighbour counts (vectorised; equal to scalar-query lengths)."""
@@ -623,15 +637,8 @@ class DynamicSpatialIndex:
         if len(centers) == 0 or self._n_alive == 0:
             return np.zeros(len(centers), dtype=np.int64)
         if self.backend == "grid":
-            view = self._grid_view()
-            if view is None:
-                return np.fromiter(
-                    (len(self._grid_query_one(c, radius)) for c in centers),
-                    dtype=np.int64,
-                    count=len(centers),
-                )
-            cand_queries, _ = view._matches(centers, radius)
-            return kernel_ops.count_in_balls(cand_queries, len(centers))
+            owners, _ = self.ball_matches(centers, radius)
+            return kernel_ops.count_in_balls(owners, len(centers))
         if self._exclude[: self._size].any():
             # Exclusion masking needs the materialised base hits anyway.
             return np.fromiter(
@@ -664,7 +671,5 @@ class DynamicSpatialIndex:
         """All alive id pairs within ``radius`` (``i < j``, lexicographic)."""
         _check_radius(radius)
         ids = self.ids()
-        if len(ids) == 0:
-            return np.zeros((0, 2), dtype=np.int64)
-        lists = self.query_radius_many(self._points[ids], radius)
-        return _pairs_from_lists(lists, sources=ids)
+        owners, members = self.ball_matches(self._points[ids], radius, self_join=True)
+        return _canonical_pairs(ids[owners], members)

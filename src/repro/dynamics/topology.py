@@ -71,6 +71,19 @@ def _decode(keys: np.ndarray) -> np.ndarray:
     return np.column_stack([keys // _ENC, keys % _ENC])
 
 
+def _pair_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Sorted unique canonical keys of the id pairs ``(src[k], dst[k])``, self-pairs dropped.
+
+    Sort plus an adjacent-duplicate mask: ``np.unique`` is several times
+    slower on int64 keys.
+    """
+    keep = np.flatnonzero(src != dst)
+    src, dst = src.take(keep), dst.take(keep)
+    keys = np.minimum(src, dst) * _ENC + np.maximum(src, dst)
+    keys.sort()
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
 def _both_ways(keys: np.ndarray) -> np.ndarray:
     """Sorted directed keys holding each canonical key ``i*2³¹+j`` as both ``i→j`` and ``j→i``."""
     return np.sort(np.concatenate([keys, keys % _ENC * _ENC + keys // _ENC]))
@@ -142,7 +155,14 @@ class TopologyTracker:
         self._directed = _both_ways(self._canonical)
 
     def _recompute(self) -> np.ndarray:
-        return _encode(self.index.query_pairs(self.radius)) if self.radius > 0 else _EMPTY_KEYS
+        """Sorted canonical keys of every edge, from one flat self-join of the index."""
+        if self.radius <= 0:
+            return _EMPTY_KEYS
+        ids = self.index.ids()
+        owners, members = self.index.ball_matches(
+            self.index.id_positions()[ids], self.radius, self_join=True
+        )
+        return _pair_keys(ids.take(owners), members)
 
     def _keys(self) -> np.ndarray:
         if self._canonical is None:
@@ -183,15 +203,12 @@ class TopologyTracker:
         keys = self._directed
         bounds = np.searchsorted(keys, np.stack([affected, affected + 1]) * _ENC).tolist()
         incident = np.concatenate([keys[lo:hi] for lo, hi in zip(*bounds)])
-        src, dst = incident // _ENC, incident % _ENC
-        old = np.unique(np.minimum(src, dst) * _ENC + np.maximum(src, dst))
+        old = _pair_keys(incident // _ENC, incident % _ENC)
 
         fresh = _EMPTY_KEYS
         if self.radius > 0 and dirty.size:
-            balls = self.index.query_radius_many(self.index.id_positions()[dirty], self.radius)
-            parts = [np.minimum(b, x) * _ENC + np.maximum(b, x) for x, b in zip(dirty.tolist(), balls)]
-            # Sorted unique, without each ball's own self-loop key x*2³¹+x.
-            fresh = np.setdiff1d(np.concatenate(parts), dirty * (_ENC + 1))
+            owners, members = self.index.ball_matches(self.index.id_positions()[dirty], self.radius)
+            fresh = _pair_keys(dirty[owners], members)
 
         added = np.setdiff1d(fresh, old, assume_unique=True)
         removed = np.setdiff1d(old, fresh, assume_unique=True)

@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Iterable, List, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.geometry.primitives import as_points
 from repro.kernels import ops as kernel_ops
@@ -46,8 +45,8 @@ __all__ = [
 ]
 
 #: Centers per block of one bulk candidate gather.  The peak transient of
-#: :meth:`GridIndex._matches` is proportional to ``centers × mean occupancy
-#: × scanned cells``, so a 10⁶-center query against a dense table could
+#: :meth:`GridIndex._matches` is proportional to ``centers × (1 + mean
+#: occupancy) × scanned cells``, so a 10⁶-center query against a dense table could
 #: materialise a multi-gigabyte candidate pool at once; processing centers in
 #: blocks bounds that peak.  Results are per-center, so any chunking of the
 #: centers axis is byte-identical to the one-shot gather.
@@ -114,28 +113,38 @@ def _squares_bracket(radius: float) -> bool:
 
 
 def _pairs_within_ball(
-    x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray, radius: float
+    x: np.ndarray,
+    y: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+    radius: float,
+    centers: Tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """:func:`within_ball` mask of the pairs ``(i[k], j[k])``, deciding each pair once.
+    """:func:`within_ball` mask of point ``i[k]`` about center ``j[k]``, deciding each pair once.
 
-    ``x`` and ``y`` are the coordinate columns.  The differences
-    ``dx = x[i] - x[j]`` and ``dy`` are the very floats :func:`within_ball`
-    would take the ``hypot`` of.  Their rounded squared sum ``d2`` is within
-    a few ULPs of the true ``dx² + dy²``, and ``hypot`` within one ULP of
-    its root, so at a bracketing radius (:func:`_squares_bracket`)
-    ``d2 <= r²·(1 − 1e-12)`` certifies that ``hypot(dx, dy) <= r`` and
-    ``d2 > r²·(1 + 1e-12)`` that it is not.  Only the pairs in the band in
-    between — and every pair at other radii — go to :func:`within_ball`, so
-    the mask is the one :func:`within_ball` alone gives.
+    ``x`` and ``y`` are the points' coordinate columns, ``centers`` the
+    centers' ``(x, y)`` columns (default: the points themselves, a
+    self-join).  The differences ``dx = x[i] - cx[j]`` and ``dy`` are the
+    very floats :func:`within_ball` would take the ``hypot`` of.  Their
+    rounded squared sum ``d2`` is within a few ULPs of the true ``dx² +
+    dy²``, and ``hypot`` within one ULP of its root, so at a bracketing
+    radius (:func:`_squares_bracket`) ``d2 <= r²·(1 − 1e-12)`` certifies that
+    ``hypot(dx, dy) <= r`` and ``d2 > r²·(1 + 1e-12)`` that it is not (a
+    ``d2`` that overflows is ``inf``, far outside).  Only the pairs in the
+    band in between — and every pair at other radii — go to
+    :func:`within_ball`, so the mask is the one :func:`within_ball` alone
+    gives.
     """
+    cx, cy = (x, y) if centers is None else centers
     dx = x.take(i)
-    dx -= x.take(j)
+    dx -= cx.take(j)
     dy = y.take(i)
-    dy -= y.take(j)
+    dy -= cy.take(j)
     if not _squares_bracket(radius):
         return within_ball(np.stack((dx, dy), axis=-1), 0.0, radius)
-    d2 = dx * dx
-    d2 += dy * dy
+    with np.errstate(over="ignore"):
+        d2 = dx * dx
+        d2 += dy * dy
     r2 = radius * radius
     inside = d2 <= r2 * (1.0 - 1e-12)
     band = np.nonzero(~inside & (d2 <= r2 * (1.0 + 1e-12)))[0]
@@ -143,6 +152,25 @@ def _pairs_within_ball(
         band_diff = np.stack((dx[band], dy[band]), axis=-1)
         inside[band] = within_ball(band_diff, 0.0, radius)
     return inside
+
+
+def _canonical_pairs(owners: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Canonical ``(m, 2)`` pairs (``i < j``, lexicographic) of a self-join's matches.
+
+    ``owners``/``members`` are the flat, unordered matches of a self-join,
+    which holds every unordered pair at least once, in either orientation;
+    self-matches are dropped and one sort orders and deduplicates the rest.
+    """
+    keep = np.flatnonzero(members != owners)
+    owners, members = owners.take(keep), members.take(keep)
+    rows = np.stack((np.minimum(owners, members), np.maximum(owners, members)), axis=-1)
+    return kernel_ops.splice_edges([rows])
+
+
+def _flatten_lists(lists: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat ``(owners, members)`` view of a non-empty run of per-query hit arrays."""
+    counts = np.fromiter((len(a) for a in lists), dtype=np.int64, count=len(lists))
+    return np.repeat(np.arange(len(lists), dtype=np.int64), counts), np.concatenate(lists)
 
 
 @runtime_checkable
@@ -229,32 +257,6 @@ class _IndexBase:
     def neighbour_lists(self, radius: float, include_self: bool = False) -> List[np.ndarray]:
         """Neighbour array per stored point via one bulk query."""
         return _strip_self(self.query_radius_many(self.points, radius), include_self)
-
-
-def _pairs_from_lists(
-    lists: List[np.ndarray], sources: np.ndarray | None = None
-) -> np.ndarray:
-    """Canonical ``(m, 2)`` pair array from per-point neighbour lists.
-
-    ``sources`` optionally relabels the list owners (ascending — e.g. the
-    stable node ids of the dynamic layer, whose lists are already in id
-    space); the default is the positional indices.
-    """
-    n = len(lists)
-    counts = np.fromiter((len(a) for a in lists), dtype=np.int64, count=n)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    owners = (
-        np.arange(n, dtype=np.int64) if sources is None else np.asarray(sources, dtype=np.int64)
-    )
-    src = np.repeat(owners, counts)
-    targets = np.concatenate(lists)
-    keep = targets > src  # each unordered pair once, smaller index first
-    pairs = np.column_stack([src[keep], targets[keep]])
-    # Sources ascend by construction and per-list targets are sorted, so the
-    # rows are already in (i, j)-lexicographic order.
-    return pairs
 
 
 class GridIndex(_IndexBase):
@@ -571,122 +573,105 @@ class GridIndex(_IndexBase):
         return np.sort(idx[keep])
 
     # -- bulk queries -------------------------------------------------------------
-    def _matches(self, centers: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
-        """All (query, point) index pairs within ``radius``, unordered.
+    def _matches(
+        self, centers: np.ndarray, radius: float, self_join: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """All (query, point) index pairs within ``radius``: flat ``(owners, members)``, unordered.
 
-        The shared engine of the bulk queries: for each of the
-        ``(2·reach + 1)²`` cell offsets (3×3 when ``radius <= cell_size``)
-        the candidate ranges of *all* queries are located with one
-        ``searchsorted`` into the packed cell table and expanded with a
-        vectorised range gather; a single :func:`within_ball` mask then
-        filters the pooled candidates.  One extra ring of offsets is scanned
-        for just the queries flagged by :meth:`_boundary_slack` — in the
-        common case those offsets cost one all-false mask check each.
+        The shared engine of the bulk queries.  Centers are taken in blocks
+        of ``bulk_chunk_size`` (each center's matches are independent, so
+        the blocking never changes a result); every block makes one
+        :func:`~repro.kernels.ops.cell_gather` call over its centers'
+        whole stencils.
+
+        ``self_join`` declares that the centers are exactly the indexed
+        points.  Closed-ball membership is symmetric, and each endpoint's
+        stencil holds the other's cell, so the offsets ``(dx, dy) >= (0, 0)``
+        (lexicographically) find every unordered pair: pairs in different
+        cells once, pairs in one cell (and each point with itself) in both
+        orientations.
         """
-        reach = self._reach(radius)
-        qkeys_abs = self._exact_keys(centers)
-        lo, hi = self._boundary_slack(centers, qkeys_abs, radius)
-        qkeys = qkeys_abs - self._key_min
-        qidx = np.arange(len(centers), dtype=np.int64)
-        span_x, span_y = int(self._spans[0]), int(self._spans[1])
+        chunk = self.bulk_chunk_size
+        if chunk is None or len(centers) <= chunk:
+            return self._gather(centers, radius, self_join)
+        owner_parts: List[np.ndarray] = []
+        member_parts: List[np.ndarray] = []
+        for start in range(0, len(centers), chunk):
+            owners, members = self._gather(centers[start : start + chunk], radius, self_join)
+            owner_parts.append(owners + start)
+            member_parts.append(members)
+        return np.concatenate(owner_parts), np.concatenate(member_parts)
 
-        cand_query_parts: List[np.ndarray] = []
-        cand_point_parts: List[np.ndarray] = []
-        for dx in range(-reach - 1, reach + 2):
-            for dy in range(-reach - 1, reach + 2):
-                allowed = None  # None means: offset applies to every query
-                if dx < -reach:
-                    allowed = lo[:, 0]
-                elif dx > reach:
-                    allowed = hi[:, 0]
-                if dy < -reach:
-                    allowed = lo[:, 1] if allowed is None else allowed & lo[:, 1]
-                elif dy > reach:
-                    allowed = hi[:, 1] if allowed is None else allowed & hi[:, 1]
-                if allowed is not None and not allowed.any():
-                    continue
-                rx = qkeys[:, 0] + dx
-                ry = qkeys[:, 1] + dy
-                inside = (rx >= 0) & (rx < span_x) & (ry >= 0) & (ry < span_y)
-                if allowed is not None:
-                    inside &= allowed
-                if not inside.any():
-                    continue
-                packed = rx[inside] * span_y + ry[inside]
-                owners, members = kernel_ops.cell_gather(
-                    self._table, packed, qidx[inside]
-                )
-                if len(members):
-                    cand_point_parts.append(members)
-                    cand_query_parts.append(owners)
+    def _gather(
+        self, centers: np.ndarray, radius: float, self_join: bool
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One block of :meth:`_matches`: one candidate gather, one exact decision.
 
-        if not cand_point_parts:
+        Each center's key is broadcast against all ``(2·reach + 3)²`` cell
+        offsets; the cells outside the occupied span, and the outer ring of
+        offsets on every side where :meth:`_boundary_slack` leaves a
+        center's flag off, are masked away, and the remaining packed cell
+        ids go to one :func:`~repro.kernels.ops.cell_gather`.  The
+        candidates are decided by :func:`_pairs_within_ball`, which sends
+        only the ULP band around ``r²`` to :func:`within_ball`.
+        """
+        if len(centers) == 0 or self._table.n_cells == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        cand_points = np.concatenate(cand_point_parts)
-        cand_queries = np.concatenate(cand_query_parts)
-        keep = within_ball(self.points[cand_points], centers[cand_queries], radius)
-        return cand_queries[keep], cand_points[keep]
+        reach = self._reach(radius)
+        keys = self._exact_keys(centers)
+        lo, hi = self._boundary_slack(centers, keys, radius)
+        keys -= self._key_min
+        steps = np.arange(-reach - 1, reach + 2, dtype=np.int64)
+        rows = keys[:, :1] + steps  # (q, S) cell rows of each center's stencil
+        cols = keys[:, 1:] + steps
+        row_ok = (rows >= 0) & (rows < self._spans[0])
+        col_ok = (cols >= 0) & (cols < self._spans[1])
+        row_ok[:, 0] &= lo[:, 0]
+        row_ok[:, -1] &= hi[:, 0]
+        col_ok[:, 0] &= lo[:, 1]
+        col_ok[:, -1] &= hi[:, 1]
+        wanted = row_ok[:, :, None] & col_ok[:, None, :]
+        if self_join:
+            wanted &= (steps[:, None] > 0) | ((steps[:, None] == 0) & (steps >= 0))
+        wanted = wanted.reshape(len(centers), -1)
+        packed = (rows * self._spans[1])[:, :, None] + cols[:, None, :]
+        owners = np.nonzero(wanted)[0]
+        owners, members = kernel_ops.cell_gather(
+            self._table, packed.reshape(len(centers), -1)[wanted], owners
+        )
+        keep = np.flatnonzero(
+            _pairs_within_ball(
+                self.points[:, 0], self.points[:, 1], members, owners, radius,
+                centers=(centers[:, 0], centers[:, 1]),
+            )
+        )
+        return owners.take(keep), members.take(keep)
 
     def query_radius_many(self, centers: np.ndarray, radius: float) -> List[np.ndarray]:
-        """Answer all ``centers`` at once with one gather + one distance mask.
+        """Answer all ``centers`` at once: one sorted index array per center.
 
-        Returns one sorted index array per center; see :meth:`_matches` for
-        the vectorised candidate-gathering scheme.  Centers are processed in
-        blocks of ``bulk_chunk_size`` to bound the peak size of the candidate
-        pool (results are per-center, so blocking is byte-identical to one
-        gather; pass ``chunk_size=None`` at construction for the one-shot
-        path).
+        See :meth:`_matches` for the vectorised, blocked candidate gather;
+        the flat matches are grouped per center by
+        :func:`~repro.kernels.ops.pair_candidates`.
         """
         _check_radius(radius)
         centers = as_points(centers)
-        q = len(centers)
-        if q == 0:
+        if len(centers) == 0:
             return []
-        if len(self) == 0:
-            return [np.zeros(0, dtype=np.int64) for _ in range(q)]
-        chunk = self.bulk_chunk_size
-        if chunk is not None and q > chunk:
-            out: List[np.ndarray] = []
-            for start in range(0, q, chunk):
-                out.extend(self._query_radius_block(centers[start : start + chunk], radius))
-            return out
-        return self._query_radius_block(centers, radius)
-
-    def _query_radius_block(self, centers: np.ndarray, radius: float) -> List[np.ndarray]:
-        cand_queries, cand_points = self._matches(centers, radius)
-        # Group by query, ascending point index inside each group.
-        return kernel_ops.pair_candidates(
-            cand_queries, cand_points, len(centers), len(self)
-        )
+        owners, members = self._matches(centers, radius)
+        return kernel_ops.pair_candidates(owners, members, len(centers), len(self.points))
 
     def count_radius_many(self, centers: np.ndarray, radius: float) -> np.ndarray:
-        """Per-center neighbour counts — skips the sort/split of the full query.
-
-        Chunked over centers like :meth:`query_radius_many`, and for the same
-        reason: the counts of a block depend only on that block's centers.
-        """
+        """Per-center neighbour counts — skips the grouping of the full query."""
         _check_radius(radius)
         centers = as_points(centers)
-        q = len(centers)
-        if q == 0 or len(self) == 0:
-            return np.zeros(q, dtype=np.int64)
-        chunk = self.bulk_chunk_size
-        if chunk is not None and q > chunk:
-            return np.concatenate(
-                [
-                    self._count_radius_block(centers[start : start + chunk], radius)
-                    for start in range(0, q, chunk)
-                ]
-            )
-        return self._count_radius_block(centers, radius)
-
-    def _count_radius_block(self, centers: np.ndarray, radius: float) -> np.ndarray:
-        cand_queries, _ = self._matches(centers, radius)
-        return kernel_ops.count_in_balls(cand_queries, len(centers))
+        owners, _ = self._matches(centers, radius)
+        return kernel_ops.count_in_balls(owners, len(centers))
 
     def query_pairs(self, radius: float) -> np.ndarray:
         """All pairs within ``radius`` (``i < j``, lexicographically ordered)."""
-        return _pairs_from_lists(self.query_radius_many(self.points, radius))
+        _check_radius(radius)
+        return _canonical_pairs(*self._matches(self.points, radius, self_join=True))
 
     # -- nearest-neighbour queries ---------------------------------------------
     def _ring_cells(
@@ -795,6 +780,10 @@ class KDTreeIndex(_IndexBase):
     """
 
     def __init__(self, points: np.ndarray) -> None:
+        # scipy is imported on first construction: the grid backend and the
+        # serving path never load it.
+        from scipy.spatial import cKDTree
+
         self.points = as_points(points)
         self._tree = cKDTree(self.points) if len(self.points) else None
         if self._tree is not None:
@@ -912,7 +901,7 @@ class KDTreeIndex(_IndexBase):
         if self._tree is None or len(self) < 2:
             return np.zeros((0, 2), dtype=np.int64)
         if not self._tree_fits(self.points):
-            return _pairs_from_lists(self.query_radius_many(self.points, radius))
+            return _canonical_pairs(*_flatten_lists(self.query_radius_many(self.points, radius)))
         pairs = self._tree.query_pairs(r=_candidate_radius(radius), output_type="ndarray")
         if pairs.size == 0:
             return np.zeros((0, 2), dtype=np.int64)

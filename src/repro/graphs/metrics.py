@@ -9,13 +9,14 @@ Covers the quantities the paper's properties talk about: degree statistics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
 from repro.graphs.base import GeometricGraph
+
+if TYPE_CHECKING:
+    from scipy.sparse import coo_matrix
 
 __all__ = [
     "GraphSummary",
@@ -32,6 +33,8 @@ __all__ = [
 
 
 def _adjacency_matrix(graph: GeometricGraph, weighted: bool) -> coo_matrix:
+    from scipy.sparse import coo_matrix
+
     n = graph.n_nodes
     if graph.n_edges == 0:
         return coo_matrix((n, n))
@@ -59,6 +62,8 @@ def component_labels(graph: GeometricGraph) -> np.ndarray:
     """Connected-component label of every node."""
     if graph.n_nodes == 0:
         return np.zeros(0, dtype=np.int64)
+    from scipy.sparse.csgraph import connected_components
+
     _, labels = connected_components(_adjacency_matrix(graph, weighted=False), directed=False)
     return labels.astype(np.int64)
 
@@ -94,6 +99,8 @@ def shortest_path_hops(graph: GeometricGraph, sources: Sequence[int] | None = No
     Returns an ``(s, n)`` matrix of hop counts from each source (or from all
     nodes when ``sources`` is ``None``); unreachable pairs are ``inf``.
     """
+    from scipy.sparse.csgraph import dijkstra, shortest_path
+
     adj = _adjacency_matrix(graph, weighted=False)
     if sources is None:
         return shortest_path(adj, method="D", unweighted=True, directed=False)
@@ -103,6 +110,8 @@ def shortest_path_hops(graph: GeometricGraph, sources: Sequence[int] | None = No
 
 def shortest_path_euclidean(graph: GeometricGraph, sources: Sequence[int] | None = None) -> np.ndarray:
     """Shortest path distances using Euclidean edge lengths as weights."""
+    from scipy.sparse.csgraph import dijkstra, shortest_path
+
     adj = _adjacency_matrix(graph, weighted=True)
     if sources is None:
         return shortest_path(adj, method="D", directed=False)

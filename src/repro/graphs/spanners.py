@@ -23,8 +23,6 @@ Euclidean graph.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from repro.geometry.primitives import as_points, squared_distances
 from repro.graphs.base import GeometricGraph
@@ -156,6 +154,9 @@ def build_yao_graph(
 
 def build_euclidean_mst(points: np.ndarray, name: str = "EMST") -> GeometricGraph:
     """Euclidean minimum spanning tree (via scipy's sparse-graph MST)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     pts = as_points(points)
     n = len(pts)
     if n < 2:

@@ -98,14 +98,15 @@ def cell_gather(
     hit = (pos < n_cells) & (cell_ids[np.minimum(pos, n_cells - 1)] == packed)
     if not hit.any():
         return _EMPTY_IDS.copy(), _EMPTY_IDS.copy()
-    pos = pos[hit]
-    starts = table.starts[pos]
-    counts = table.counts[pos]
-    total = int(counts.sum())
-    # Range gather: expand each (start, count) run into member indices.
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    flat = np.repeat(starts, counts) + np.arange(total, dtype=np.int64) - offsets
-    return np.repeat(owners[hit], counts), table.order[flat]
+    rows = np.flatnonzero(hit)
+    pos = pos.take(rows)
+    counts = table.counts.take(pos)
+    # Range gather: run k covers flat positions [ends[k] - counts[k], ends[k]),
+    # and its i-th element is table position starts[k] + i.
+    ends = np.cumsum(counts)
+    flat = np.repeat(table.starts.take(pos) - (ends - counts), counts)
+    flat += np.arange(len(flat), dtype=np.int64)
+    return np.repeat(owners.take(rows), counts), table.order.take(flat)
 
 
 @_metered(lambda out, points, center, radius: np.asarray(points).nbytes + out.nbytes)

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.tiles_udg import UDGTileSpec
+from repro.distributed.construct import DistributedBuildResult
 from repro.distributed.repair import DistributedRepairEngine, RepairReport
 from repro.dynamics.incremental import DynamicSpatialIndex
 from repro.dynamics.topology import EdgeDiff, TopologyTracker
@@ -156,7 +157,7 @@ class LiveWorld:
         )
         self.tracker = TopologyTracker(self.index, config.udg_radius)
         self.engine = DistributedRepairEngine(self.index, self.spec, config.window)
-        self._route_cache_seq = -1
+        self._route_overlay: Optional[DistributedBuildResult] = None
         self._route_adjacency: Dict[int, List[int]] = {}
 
     # -- applying ticks -----------------------------------------------------
@@ -222,13 +223,19 @@ class LiveWorld:
         return [int(i) for i in self.index.neighbours_of(node, r)]
 
     def _overlay_adjacency(self) -> Dict[int, List[int]]:
-        if self._route_cache_seq != self.applied_seq:
+        """Adjacency of the spliced overlay, rebuilt only when the engine re-splices.
+
+        Keyed on the identity of ``engine.result()``, which stays the same
+        object until a repair changes some tile's outcome.
+        """
+        overlay = self.engine.result()
+        if overlay is not self._route_overlay:
             adjacency: Dict[int, List[int]] = {}
-            for a, b in self.engine.result().edges.tolist():
+            for a, b in overlay.edges.tolist():
                 adjacency.setdefault(int(a), []).append(int(b))
                 adjacency.setdefault(int(b), []).append(int(a))
             self._route_adjacency = adjacency
-            self._route_cache_seq = self.applied_seq
+            self._route_overlay = overlay
         return self._route_adjacency
 
     def _tile_of(self, node: int) -> Tuple[int, int]:
@@ -335,7 +342,7 @@ class LiveWorld:
         world.index.consume_dirty()
         world.tracker = TopologyTracker(world.index, config.udg_radius)
         world.engine = DistributedRepairEngine(world.index, world.spec, config.window)
-        world._route_cache_seq = -1
+        world._route_overlay = None
         world._route_adjacency = {}
         return world
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from repro.graphs.base import GeometricGraph
 from repro.simulation.energy import EnergyLedger, EnergyModel
@@ -64,6 +62,9 @@ def _power_weighted_paths(
         dist = np.full(n, np.inf)
         dist[sink] = 0.0
         return np.full(n, -9999, dtype=np.int64), dist
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     weights = graph.edge_lengths() ** beta
     rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
     cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])

@@ -25,6 +25,21 @@ def udg_network_module():
     return build_udg_sens(intensity=25.0, window=Rect(0, 0, 16, 16), seed=21, build_base_graph=False)
 
 
+@pytest.fixture(scope="module")
+def emptied_tile(udg_network_module):
+    """The routable deployment with every node of one good tile removed, and that tile."""
+    from repro import build_udg_sens
+
+    net = udg_network_module
+    good = sorted(net.classification.good_tiles())
+    tile = good[len(good) // 2]
+    rect = net.tiling.tile_rect(tile)
+    x, y = net.points[:, 0], net.points[:, 1]
+    inside = (x >= rect.xmin) & (x <= rect.xmax) & (y >= rect.ymin) & (y <= rect.ymax)
+    emptied = build_udg_sens(net.points[~inside], window=net.tiling.window, build_base_graph=False)
+    return emptied, tile
+
+
 def _two_distant_good_tiles(net, rng):
     tiles = [t for t in net.classification.good_tiles() if t in net.overlay.tile_representatives]
     tiles = sorted(tiles)
@@ -54,16 +69,16 @@ class TestRouteOnOverlay:
         assert result.node_path[0] == routable.overlay.tile_representatives[src]
         assert result.node_path[-1] == routable.overlay.tile_representatives[tgt]
 
-    def test_bad_tile_rejected(self, routable):
-        bad = next(
-            (t for t in routable.tiling.tiles() if not routable.classification.records[t].good),
-            None,
-        )
-        if bad is None:
-            pytest.skip("no bad tile in this realisation")
-        good = routable.classification.good_tiles()[0]
-        with pytest.raises(ValueError):
-            route_on_overlay(routable, bad, good)
+    def test_bad_tile_rejected(self, emptied_tile):
+        net, bad = emptied_tile
+        assert bad in net.tiling.tiles()
+        assert bad not in net.classification.good_tiles()
+        good = net.classification.good_tiles()[0]
+        assert route_on_overlay(net, good, good).success
+        with pytest.raises(ValueError, match="not a good tile"):
+            route_on_overlay(net, bad, good)
+        with pytest.raises(ValueError, match="not a good tile"):
+            route_on_overlay(net, good, bad)
 
     def test_same_tile_route_is_trivial(self, routable):
         tile = routable.classification.good_tiles()[0]

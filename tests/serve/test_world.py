@@ -156,6 +156,42 @@ class TestMemoisedOverlay:
         for source, target in zip(reps[:10], reps[::-1][:10]):
             assert world.route(source, target) == clone.route(source, target)
 
+    def test_kept_adjacency_equals_a_fresh_build_over_a_storm(self):
+        rng = np.random.default_rng(23)
+        side = 8.0
+        world = LiveWorld(
+            rng.uniform(0.0, side, size=(700, 2)), WorldConfig(window_xmax=side, window_ymax=side)
+        )
+        batcher = TickBatcher()
+        ticks, rebuilds = 40, 0
+        overlay, adjacency = world.engine.result(), world._overlay_adjacency()
+        for _ in range(ticks):
+            alive = world.index.ids()
+            requests = []
+            for node in rng.choice(alive, size=4, replace=False).tolist():
+                step = rng.uniform(-0.05, 0.05, size=2)
+                x, y = np.clip(world.index.position_of(node) + step, 0.0, side).tolist()
+                requests.append(Request(op="move", node=node, position=(x, y)))
+            if rng.random() < 0.2:
+                requests.append(Request(op="delete", node=int(rng.choice(alive))))
+            if rng.random() < 0.2:
+                requests.append(Request(op="insert", position=tuple(rng.uniform(0.0, side, size=2))))
+            _apply(world, batcher, requests)
+
+            kept = world._overlay_adjacency()
+            if world.engine.result() is overlay:
+                assert kept is adjacency  # no re-splice, no rebuild
+            else:
+                rebuilds += 1
+            overlay, adjacency = world.engine.result(), kept
+            fresh = {}
+            for a, b in overlay.edges.tolist():
+                fresh.setdefault(a, []).append(b)
+                fresh.setdefault(b, []).append(a)
+            assert kept == fresh
+            assert world.engine.matches_rebuild()
+        assert 0 < rebuilds < ticks, rebuilds
+
 
 class TestStateRoundTrip:
     def test_digest_identical_after_restore(self, world):
