@@ -330,9 +330,10 @@ class DistributedRepairEngine:
         """
         if self._result is None:
             # Canonical sorted unique pairs from the per-(tile, direction) edge
-            # fragments — the splice_edges kernel replaces the scalar
-            # set-union + sorted() splice byte-identically.
-            edge_array = kernel_ops.splice_edges(list(self._pair_edges.values()))
+            # fragments, pooled into one list so the splice_edges kernel makes
+            # one conversion instead of one per fragment.
+            pooled = list(chain.from_iterable(self._pair_edges.values()))
+            edge_array = kernel_ops.splice_edges([pooled])
             good_tiles = sorted(tile for tile, (good, _, _) in self._outcome.items() if good)
             self._result = DistributedBuildResult(
                 edges=edge_array,

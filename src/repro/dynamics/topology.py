@@ -178,6 +178,17 @@ class TopologyTracker:
         """Current ``(m, 2)`` edge array (id space, lexicographic)."""
         return _decode(self._keys())
 
+    def neighbours(self, node: int) -> np.ndarray:
+        """Ascending ids of ``node``'s UDG neighbours: its slice of the directed store.
+
+        Equal to ``index.neighbours_of(node, radius)`` for an alive node and
+        a positive radius (both decide membership with the index's exact
+        ball test, and neither lists the node itself).
+        """
+        keys = self._directed
+        lo, hi = np.searchsorted(keys, (node * _ENC, (node + 1) * _ENC)).tolist()
+        return keys[lo:hi] % _ENC
+
     def update(
         self, dirty: np.ndarray | None = None, deleted: np.ndarray | None = None
     ) -> EdgeDiff:

@@ -167,6 +167,31 @@ def _canonical_pairs(owners: np.ndarray, members: np.ndarray) -> np.ndarray:
     return kernel_ops.splice_edges([rows])
 
 
+def _stencil_axis(
+    keys: np.ndarray, reach: int, span: int, lo: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One axis of each center's scan: ``(cells, ok, offsets)``, each ``(q, S)`` or broadcastable.
+
+    A center at cell ``key`` scans offsets ``-reach-1 .. reach+1``, the outer
+    ring only where its ``lo`` / ``hi`` slack flag is set, and only cells
+    inside ``[0, span)`` count.  A stencil wider than the occupied span
+    scans the span itself instead, so a radius far larger than the cell
+    size costs at most the span per center, not ``2·reach + 3``.
+    """
+    if 2 * reach + 3 <= span:
+        offsets = np.arange(-reach - 1, reach + 2, dtype=np.int64)[None, :]
+        cells = keys[:, None] + offsets
+        ok = (cells >= 0) & (cells < span)
+        ok[:, 0] &= lo
+        ok[:, -1] &= hi
+        return cells, ok, offsets
+    cells = np.arange(span, dtype=np.int64)[None, :]
+    offsets = cells - keys[:, None]
+    outer = min(reach + 1, 2**62)
+    ok = (np.abs(offsets) <= outer) & ((offsets != -outer) | lo[:, None]) & ((offsets != outer) | hi[:, None])
+    return np.broadcast_to(cells, offsets.shape), ok, offsets
+
+
 def _flatten_lists(lists: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Flat ``(owners, members)`` view of a non-empty run of per-query hit arrays."""
     counts = np.fromiter((len(a) for a in lists), dtype=np.int64, count=len(lists))
@@ -608,7 +633,8 @@ class GridIndex(_IndexBase):
         """One block of :meth:`_matches`: one candidate gather, one exact decision.
 
         Each center's key is broadcast against all ``(2·reach + 3)²`` cell
-        offsets; the cells outside the occupied span, and the outer ring of
+        offsets (or the whole occupied span, where that is narrower: see
+        :func:`_stencil_axis`); the cells outside the span, and the outer ring of
         offsets on every side where :meth:`_boundary_slack` leaves a
         center's flag off, are masked away, and the remaining packed cell
         ids go to one :func:`~repro.kernels.ops.cell_gather`.  The
@@ -621,18 +647,11 @@ class GridIndex(_IndexBase):
         keys = self._exact_keys(centers)
         lo, hi = self._boundary_slack(centers, keys, radius)
         keys -= self._key_min
-        steps = np.arange(-reach - 1, reach + 2, dtype=np.int64)
-        rows = keys[:, :1] + steps  # (q, S) cell rows of each center's stencil
-        cols = keys[:, 1:] + steps
-        row_ok = (rows >= 0) & (rows < self._spans[0])
-        col_ok = (cols >= 0) & (cols < self._spans[1])
-        row_ok[:, 0] &= lo[:, 0]
-        row_ok[:, -1] &= hi[:, 0]
-        col_ok[:, 0] &= lo[:, 1]
-        col_ok[:, -1] &= hi[:, 1]
+        rows, row_ok, dx = _stencil_axis(keys[:, 0], reach, int(self._spans[0]), lo[:, 0], hi[:, 0])
+        cols, col_ok, dy = _stencil_axis(keys[:, 1], reach, int(self._spans[1]), lo[:, 1], hi[:, 1])
         wanted = row_ok[:, :, None] & col_ok[:, None, :]
         if self_join:
-            wanted &= (steps[:, None] > 0) | ((steps[:, None] == 0) & (steps >= 0))
+            wanted &= (dx[:, :, None] > 0) | ((dx[:, :, None] == 0) & (dy[:, None, :] >= 0))
         wanted = wanted.reshape(len(centers), -1)
         packed = (rows * self._spans[1])[:, :, None] + cols[:, None, :]
         owners = np.nonzero(wanted)[0]

@@ -10,14 +10,14 @@ the networkx implementation is the clearest correct choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from repro.geometry.primitives import as_points
 from repro.kernels import ops as kernel_ops
 
-__all__ = ["GeometricGraph"]
+__all__ = ["GeometricGraph", "csr_adjacency"]
 
 
 def _canonical_edges(edges: np.ndarray) -> np.ndarray:
@@ -43,6 +43,22 @@ def _canonical_edges(edges: np.ndarray) -> np.ndarray:
     return out
 
 
+def csr_adjacency(edges: np.ndarray, n_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency ``(indptr, indices)`` of canonical ``edges`` over ``n_nodes`` nodes.
+
+    Node ``v``'s neighbours, ascending, are ``indices[indptr[v]:indptr[v + 1]]``.
+    ``edges`` must be canonical (every row ``a < b``, rows lexicographic).
+    Then the reversed rows, taken first, list each node's smaller neighbours
+    in ascending order and the rows themselves its larger ones, so one stable
+    sort on the source id yields ascending rows.
+    """
+    src = np.concatenate([edges[:, 1], edges[:, 0]])
+    dst = np.concatenate([edges[:, 0], edges[:, 1]])
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n_nodes), out=indptr[1:])
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
 @dataclass
 class GeometricGraph:
     """Undirected geometric graph with embedded node positions.
@@ -63,7 +79,7 @@ class GeometricGraph:
     points: np.ndarray
     edges: np.ndarray
     name: str = "geometric-graph"
-    _adjacency: dict[int, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _csr: Tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.points = as_points(self.points)
@@ -103,18 +119,27 @@ class GeometricGraph:
         diff = self.points[self.edges[:, 0]] - self.points[self.edges[:, 1]]
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
+    def _adjacency(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The cached, read-only CSR adjacency (see :func:`csr_adjacency`)."""
+        if self._csr is None:
+            indptr, indices = csr_adjacency(self.edges, self.n_nodes)
+            indptr.flags.writeable = False
+            indices.flags.writeable = False
+            self._csr = (indptr, indices)
+        return self._csr
+
     def neighbours(self, node: int) -> np.ndarray:
-        """Sorted neighbour indices of ``node`` (cached adjacency)."""
-        if self._adjacency is None:
-            adjacency: dict[int, list[int]] = {i: [] for i in range(self.n_nodes)}
-            for a, b in self.edges:
-                adjacency[int(a)].append(int(b))
-                adjacency[int(b)].append(int(a))
-            self._adjacency = {k: np.asarray(sorted(v), dtype=np.int64) for k, v in adjacency.items()}
-        return self._adjacency[int(node)]
+        """Sorted neighbour indices of ``node`` (a read-only view of the cached CSR)."""
+        node = int(node)
+        if not 0 <= node < self.n_nodes:
+            raise IndexError(f"node {node} is not in the graph")
+        indptr, indices = self._adjacency()
+        return indices[indptr[node] : indptr[node + 1]]
 
     def has_edge(self, a: int, b: int) -> bool:
-        return int(b) in set(self.neighbours(int(a)).tolist())
+        row = self.neighbours(a)
+        at = int(np.searchsorted(row, int(b)))
+        return at < len(row) and int(row[at]) == int(b)
 
     # -- conversions -----------------------------------------------------------
     def to_networkx(self):

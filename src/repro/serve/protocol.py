@@ -1,8 +1,9 @@
 """The serve wire format: newline-delimited canonical JSON.
 
 One request per line, one JSON object per request; responses are canonical
-JSON lines (:func:`repro.runner.serialize.canonical_json`: sorted keys,
-fixed separators) so byte-identical world states produce byte-identical
+JSON lines (sorted keys, fixed separators — the bytes of
+:func:`repro.runner.serialize.canonical_json` for the str-keyed payloads
+the daemon sends) so byte-identical world states produce byte-identical
 reply streams — the property the resume and equivalence certificates lean
 on.
 
@@ -42,9 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import json
 import math
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.runner.serialize import canonical_json
+from repro.runner.serialize import jsonify
 
 __all__ = [
     "UPDATE_OPS",
@@ -54,6 +55,7 @@ __all__ = [
     "Request",
     "parse_line",
     "encode_response",
+    "encode_json",
     "ok_response",
     "error_response",
 ]
@@ -153,9 +155,26 @@ def parse_line(line: str) -> Request:
     return Request(op=op, client_id=client_id)
 
 
+def _lenient(value: Any) -> Any:
+    return jsonify(value, strict=False)
+
+
+def encode_json(payload: Dict[str, Any], default: Callable[[Any], Any] = jsonify) -> str:
+    """Sorted-key, fixed-separator JSON of a str-keyed ``payload`` in one ``json.dumps``.
+
+    The encoder writes plain JSON types itself and hands only the rest
+    (numpy scalars and arrays, sets, dataclasses ...) to ``default``, so
+    the bytes equal ``canonical_json(payload)`` without its recursive walk
+    over every list element.  Non-str dict keys are outside that contract:
+    ``json.dumps`` spells ``True`` / ``None`` keys differently and cannot
+    sort mixed key types.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=default)
+
+
 def encode_response(payload: Dict[str, Any]) -> str:
-    """One canonical-JSON response line (no trailing newline)."""
-    return canonical_json(payload, strict=False)
+    """One canonical-JSON response line (no trailing newline); odd values degrade to ``repr``."""
+    return encode_json(payload, _lenient)
 
 
 def ok_response(client_id: Any = None, **fields: Any) -> str:

@@ -15,10 +15,11 @@ Two transports drive the session:
 * :class:`ServeDaemon` — the production asyncio TCP front-end.  A timer
   task sleeps ``tick_interval`` seconds, flushes, and sleeps again, so the
   real tick period is ``tick_interval`` plus the flush time.  It routes each
-  deferred reply back to the connection that sent the event; queries answer
-  immediately against the last applied tick.  Updates past the batcher's
-  high-water mark are refused with ``retry_after`` (explicit backpressure,
-  never an unbounded queue).
+  deferred reply back to the connection that sent the event, one write and
+  one drain per connection per tick; queries answer immediately against the
+  last applied tick.  Updates past the batcher's high-water mark are
+  refused with ``retry_after`` (explicit backpressure, never an unbounded
+  queue).
 * :func:`run_stdio` — the deterministic replay transport behind
   ``python -m repro.serve --stdio``.  Ticks fire only on explicit
   ``{"op": "tick"}`` lines (and before reads / at EOF), so a recorded
@@ -388,13 +389,18 @@ class ServeDaemon:
             await self._flush_replies()
 
     async def _flush_replies(self) -> None:
+        """Apply the pending tick and send each connection its replies in one write."""
         if not len(self.session.batcher):
             return
+        outgoing: Dict[asyncio.StreamWriter, List[str]] = {}
         for event, reply in self.session.flush():
             writer = self._writers.pop(event.seq, None)
-            if writer is None or writer.is_closing():
+            if writer is not None:
+                outgoing.setdefault(writer, []).append(reply)
+        for writer, replies in outgoing.items():
+            if writer.is_closing():
                 continue
-            writer.write(reply.encode("utf-8") + b"\n")
+            writer.write(("\n".join(replies) + "\n").encode("utf-8"))
             try:
                 await writer.drain()
             except ConnectionError:

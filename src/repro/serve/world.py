@@ -7,8 +7,17 @@ its UDG edge set and a
 :class:`~repro.distributed.repair.DistributedRepairEngine` maintaining the
 Figure-7 overlay — all three fed from *one* consumed dirty-id stream per
 applied tick, exactly the sharing pattern the M02 workload pioneered.
-Queries (neighbours, overlay routes, coverage, digests) answer from the
-maintained structures; nothing is ever rebuilt on the serving path.
+Every query answers from those maintained structures:
+
+* ``neighbours`` at the UDG radius is the node's contiguous slice of the
+  tracker's directed edge store; at any other radius it is one ball query
+  on the live index.
+* ``route`` is a BFS over a CSR adjacency of the engine's spliced overlay,
+  rebuilt only when the engine re-splices (a repair changed some tile).
+* ``coverage`` is one bulk ball count on the live index, whose cell view is
+  current after every tick.
+* ``digest`` hashes the canonical state plus the maintained edge sets,
+  encoded in one ``json.dumps``.
 
 Two serialisation surfaces make the daemon safe to kill:
 
@@ -37,9 +46,9 @@ from repro.distributed.repair import DistributedRepairEngine, RepairReport
 from repro.dynamics.incremental import DynamicSpatialIndex
 from repro.dynamics.topology import EdgeDiff, TopologyTracker
 from repro.geometry.primitives import Rect, as_points
-from repro.runner.serialize import canonical_json
+from repro.graphs.base import csr_adjacency
 from repro.serve.batching import CoalescedBatch
-from repro.simulation.sensing import coverage_fraction
+from repro.serve.protocol import encode_json
 
 __all__ = ["WorldConfig", "ApplyResult", "LiveWorld", "world_digest_parts"]
 
@@ -158,7 +167,7 @@ class LiveWorld:
         self.tracker = TopologyTracker(self.index, config.udg_radius)
         self.engine = DistributedRepairEngine(self.index, self.spec, config.window)
         self._route_overlay: Optional[DistributedBuildResult] = None
-        self._route_adjacency: Dict[int, List[int]] = {}
+        self._route_adjacency: Tuple[List[int], List[int]] = ([0], [])
 
     # -- applying ticks -----------------------------------------------------
     @property
@@ -218,30 +227,37 @@ class LiveWorld:
 
     # -- queries (always from the maintained structures) --------------------
     def neighbours(self, node: int, radius: Optional[float] = None) -> List[int]:
-        """Ids within ``radius`` (default: the UDG radius) of an alive node."""
-        r = self.config.udg_radius if radius is None else float(radius)
-        return [int(i) for i in self.index.neighbours_of(node, r)]
+        """Ids within ``radius`` (default: the UDG radius) of an alive node.
 
-    def _overlay_adjacency(self) -> Dict[int, List[int]]:
-        """Adjacency of the spliced overlay, rebuilt only when the engine re-splices.
+        At the UDG radius the answer is the node's slice of the tracker's
+        directed edge store; any other radius (0 keeps its coincident-point
+        meaning) is one ball query on the live index; a non-finite radius is
+        an error.
+        """
+        udg_radius = self.config.udg_radius
+        r = udg_radius if radius is None else float(radius)
+        if not np.isfinite(r):
+            raise ValueError("radius must be finite")
+        if r != udg_radius or udg_radius <= 0:
+            return self.index.neighbours_of(node, r).tolist()
+        if not self.index.is_alive(node):
+            raise ValueError(f"node id {int(node)} is not alive")
+        return self.tracker.neighbours(int(node)).tolist()
+
+    def _overlay_adjacency(self) -> Tuple[List[int], List[int]]:
+        """CSR ``(indptr, indices)`` of the spliced overlay, rebuilt only when the engine re-splices.
 
         Keyed on the identity of ``engine.result()``, which stays the same
-        object until a repair changes some tile's outcome.
+        object until a repair changes some tile's outcome.  There is one
+        ascending row per id allocated so far, which covers every node of
+        the overlay (ids only ever grow).
         """
         overlay = self.engine.result()
         if overlay is not self._route_overlay:
-            adjacency: Dict[int, List[int]] = {}
-            for a, b in overlay.edges.tolist():
-                adjacency.setdefault(int(a), []).append(int(b))
-                adjacency.setdefault(int(b), []).append(int(a))
-            self._route_adjacency = adjacency
+            indptr, indices = csr_adjacency(overlay.edges, len(self.index.id_positions()))
+            self._route_adjacency = (indptr.tolist(), indices.tolist())
             self._route_overlay = overlay
         return self._route_adjacency
-
-    def _tile_of(self, node: int) -> Tuple[int, int]:
-        position = self.index.position_of(node).reshape(1, 2)
-        tile = self.engine.tiling.tile_of_points(position)
-        return (int(tile[0, 0]), int(tile[0, 1]))
 
     def route(self, source: int, target: int) -> Dict[str, Any]:
         """Shortest-hop route between two nodes over the maintained overlay.
@@ -258,18 +274,19 @@ class LiveWorld:
                 raise ValueError(f"{name} node {node} is not alive")
         overlay = self.engine.result()
         reps = overlay.representatives
-        src_tile, tgt_tile = self._tile_of(int(source)), self._tile_of(int(target))
+        ends = self.index.id_positions()[[int(source), int(target)]]
+        src_tile, tgt_tile = map(tuple, self.engine.tiling.tile_of_points(ends).tolist())
         if src_tile not in reps or tgt_tile not in reps:
             bad = src_tile if src_tile not in reps else tgt_tile
             return {"success": False, "reason": f"tile {list(bad)} is not good"}
         src_rep, tgt_rep = reps[src_tile], reps[tgt_tile]
-        adjacency = self._overlay_adjacency()
+        indptr, indices = self._overlay_adjacency()
         parents: Dict[int, int] = {src_rep: src_rep}
         frontier = [src_rep]
         while frontier and tgt_rep not in parents:
             next_frontier: List[int] = []
             for node in frontier:
-                for nbr in adjacency.get(node, ()):
+                for nbr in indices[indptr[node] : indptr[node + 1]]:
                     if nbr not in parents:
                         parents[nbr] = node
                         next_frontier.append(nbr)
@@ -291,14 +308,23 @@ class LiveWorld:
         }
 
     def coverage(self, events: np.ndarray, sensing_radius: float) -> float:
-        """Fraction of event positions covered by the alive deployment."""
+        """Fraction of event positions within ``sensing_radius`` of an alive node.
+
+        One bulk count on the live index, whose cell view is current after
+        every tick.  An empty deployment covers nothing, no events are
+        trivially covered, and a non-positive or non-finite radius is an
+        error.
+        """
         if self.n_alive == 0:
             return 0.0
-        return float(
-            coverage_fraction(
-                self.index.positions(), events, sensing_radius, backend=self.config.backend
-            )
-        )
+        if sensing_radius <= 0:
+            raise ValueError("sensing_radius must be positive")
+        if not np.isfinite(sensing_radius):
+            raise ValueError("sensing_radius must be finite")
+        evts = as_points(events)
+        if len(evts) == 0:
+            return 1.0
+        return float((self.index.count_radius_many(evts, sensing_radius) > 0).mean())
 
     # -- canonical state / byte-identity ------------------------------------
     def state(self) -> Dict[str, Any]:
@@ -343,7 +369,7 @@ class LiveWorld:
         world.tracker = TopologyTracker(world.index, config.udg_radius)
         world.engine = DistributedRepairEngine(world.index, world.spec, config.window)
         world._route_overlay = None
-        world._route_adjacency = {}
+        world._route_adjacency = ([0], [])
         return world
 
     def digest(self) -> str:
@@ -353,4 +379,4 @@ class LiveWorld:
             "config": self.config.to_payload(),
             **world_digest_parts(self.index, self.tracker, self.engine),
         }
-        return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+        return hashlib.sha256(encode_json(payload).encode("utf-8")).hexdigest()

@@ -188,6 +188,37 @@ class TestTopologyTrackerBytes:
         assert np.array_equal(tracker.edges(), edges)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tracker_neighbours_equal_index_ball_queries_over_a_storm(backend):
+    """Each alive node's slice of the directed store is its closed-ball query, every tick.
+
+    Half the moves land on a quarter-unit lattice (exact in binary), so the
+    storm keeps producing coincident points and pairs exactly ``r`` apart.
+    """
+    rng = np.random.default_rng(41)
+    radius, side = 1.0, 6.0
+    seeded = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]  # coincident, and r apart
+    pts = np.vstack([rng.uniform(0, side, size=(90, 2)), seeded])
+    dyn = DynamicSpatialIndex(pts, radius=radius, backend=backend)
+    tracker = TopologyTracker(dyn, radius)
+    for step in range(25):
+        movers = np.sort(rng.choice(dyn.ids(), size=10, replace=False))
+        targets = dyn.id_positions()[movers] + rng.uniform(-0.6, 0.6, size=(10, 2))
+        targets[::2] = np.round(targets[::2] * 4.0) / 4.0
+        dyn.move(movers, np.clip(targets, 0.0, side))
+        if step % 3 == 0:
+            dyn.insert(np.round(rng.uniform(0, side, size=(2, 2)) * 4.0) / 4.0)
+        if step % 4 == 1:
+            dyn.delete(rng.choice(dyn.ids(), size=2, replace=False))
+        tracker.update()
+        for node in dyn.ids().tolist():
+            got = tracker.neighbours(node)
+            assert got.tolist() == dyn.neighbours_of(node, radius).tolist(), (step, node)
+    exact = dyn.id_positions()[dyn.ids()]
+    gaps = np.hypot(*(exact[:, None, :] - exact[None, :, :]).transpose(2, 0, 1))
+    assert (gaps == 0.0).sum() > len(exact) and (gaps == radius).any()  # the storm hit both edge cases
+
+
 class TestKnnTopologyTracker:
     def test_recompute_diff_matches_static_builder(self, rng):
         pts = rng.uniform(0, 6, size=(40, 2))

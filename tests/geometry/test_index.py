@@ -192,6 +192,20 @@ class TestGridInternals:
         for center in [(5.0, 5.0), (-1.0, 11.0)]:
             assert np.array_equal(grid.query_radius(center, 6.0), _brute_ball(pts, center, 6.0))
 
+    @pytest.mark.parametrize("radius", [6.0, 14.5, 1e12])
+    def test_bulk_stencil_wider_than_the_occupied_span(self, rng, radius):
+        # 2·reach + 3 cells per axis exceeds the 20-cell span: the bulk
+        # queries scan the span instead (at 1e12 the full stencil would need
+        # ~1e25 cells) and must still answer exactly.
+        pts = np.vstack([rng.uniform(0, 10, size=(150, 2)), [[0.0, 0.0], [6.0, 0.0]]])
+        grid = GridIndex(pts, cell_size=0.5)
+        centers = np.vstack([pts[:20], [[5.0, 5.0], [-8.0, 11.0], [-1e9, 3.0]]])
+        many = grid.query_radius_many(centers, radius)
+        for center, got in zip(centers, many):
+            assert np.array_equal(got, _brute_ball(pts, center, radius))
+        assert grid.count_radius_many(centers, radius).tolist() == [len(a) for a in many]
+        assert np.array_equal(grid.query_pairs(radius), KDTreeIndex(pts).query_pairs(radius))
+
     def test_empty_and_degenerate_inputs(self):
         for backend in BACKENDS:
             empty = build_index(np.zeros((0, 2)), radius=1.0, backend=backend)

@@ -92,6 +92,9 @@ class TestQueries:
         )
         close = world.neighbours(0, radius=0.5)
         assert 1 in close and 2 not in close
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                world.neighbours(0, radius=bad)
 
     def test_route_between_good_tile_representatives(self, rng):
         # A dense deployment so tiles are good and the overlay is connected;
@@ -131,6 +134,14 @@ class TestQueries:
         events = np.array([[world.index.position_of(0)[0], world.index.position_of(0)[1]]])
         assert world.coverage(events, sensing_radius=0.5) == 1.0
         assert world.coverage(np.array([[100.0, 100.0]]), sensing_radius=0.5) == 0.0
+
+    def test_coverage_at_a_radius_far_past_the_window(self, world):
+        far = np.array([[7.5, 7.5], [-1e6, 3.0], [1e8, 1e8]])
+        assert world.coverage(far, sensing_radius=1e9) == 1.0
+        assert world.coverage(far, sensing_radius=20.0) == 1 / 3
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                world.coverage(far, sensing_radius=bad)
 
 
 class TestMemoisedOverlay:
@@ -184,11 +195,21 @@ class TestMemoisedOverlay:
             else:
                 rebuilds += 1
             overlay, adjacency = world.engine.result(), kept
+            # A fresh dict-of-lists in edge order: each list comes out
+            # ascending, the order the kept CSR rows must reproduce.
             fresh = {}
             for a, b in overlay.edges.tolist():
                 fresh.setdefault(a, []).append(b)
                 fresh.setdefault(b, []).append(a)
-            assert kept == fresh
+            indptr, indices = kept
+            overlay_nodes = overlay.edges.ravel().tolist() + list(overlay.representatives.values())
+            assert len(indptr) - 1 > max(overlay_nodes)  # a row for every overlay node
+            rows = {
+                node: indices[indptr[node] : indptr[node + 1]]
+                for node in range(len(indptr) - 1)
+                if indptr[node + 1] > indptr[node]
+            }
+            assert rows == fresh
             assert world.engine.matches_rebuild()
         assert 0 < rebuilds < ticks, rebuilds
 
