@@ -19,21 +19,7 @@ See README.md for the architecture overview, DESIGN.md for the system
 inventory and EXPERIMENTS.md for the paper-vs-measured record.
 """
 
-from repro.core import (
-    NNTileSpec,
-    SensNetwork,
-    UDGTileSpec,
-    build_nn_sens,
-    build_udg_sens,
-    find_nn_k_threshold,
-    find_udg_lambda_threshold,
-    measure_coverage,
-    measure_stretch,
-    power_stretch,
-)
-from repro.geometry.poisson import PoissonProcess, poisson_points
-from repro.geometry.primitives import Rect, Disc
-from repro.graphs import build_udg, build_knn
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -56,3 +42,19 @@ __all__ = [
     "power_stretch",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.coverage": ("measure_coverage",),
+    "repro.core.nn_sens": ("build_nn_sens",),
+    "repro.core.power": ("power_stretch",),
+    "repro.core.result": ("SensNetwork",),
+    "repro.core.stretch": ("measure_stretch",),
+    "repro.core.thresholds": ("find_nn_k_threshold", "find_udg_lambda_threshold"),
+    "repro.core.tiles_nn": ("NNTileSpec",),
+    "repro.core.tiles_udg": ("UDGTileSpec",),
+    "repro.core.udg_sens": ("build_udg_sens",),
+    "repro.geometry.poisson": ("PoissonProcess", "poisson_points"),
+    "repro.geometry.primitives": ("Rect", "Disc"),
+    "repro.graphs.knn": ("build_knn",),
+    "repro.graphs.udg": ("build_udg",),
+})

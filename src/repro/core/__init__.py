@@ -13,23 +13,7 @@ The public API most users need:
   — the property measurements (P2 stretch, P3 coverage, power efficiency).
 """
 
-from repro.core.coverage import CoverageReport, empty_box_probability, measure_coverage
-from repro.core.goodness import TileClassification, classify_tiles
-from repro.core.nn_sens import build_nn_sens
-from repro.core.overlay import OverlayGraph, OverlayRole, build_overlay
-from repro.core.power import path_power, power_stretch, PowerReport
-from repro.core.result import SensNetwork
-from repro.core.stretch import StretchReport, measure_stretch
-from repro.core.thresholds import (
-    GoodnessCurve,
-    estimate_goodness_probability,
-    find_udg_lambda_threshold,
-    find_nn_k_threshold,
-)
-from repro.core.tiles_nn import NNTileSpec
-from repro.core.tiles_udg import UDGTileSpec
-from repro.core.tiling import Tiling, TileIndex
-from repro.core.udg_sens import build_udg_sens
+from repro._exports import lazy_exports
 
 __all__ = [
     "Tiling",
@@ -57,3 +41,23 @@ __all__ = [
     "power_stretch",
     "PowerReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.coverage": ("CoverageReport", "empty_box_probability", "measure_coverage"),
+    "repro.core.goodness": ("TileClassification", "classify_tiles"),
+    "repro.core.nn_sens": ("build_nn_sens",),
+    "repro.core.overlay": ("OverlayGraph", "OverlayRole", "build_overlay"),
+    "repro.core.power": ("path_power", "power_stretch", "PowerReport"),
+    "repro.core.result": ("SensNetwork",),
+    "repro.core.stretch": ("StretchReport", "measure_stretch"),
+    "repro.core.thresholds": (
+        "GoodnessCurve",
+        "estimate_goodness_probability",
+        "find_udg_lambda_threshold",
+        "find_nn_k_threshold",
+    ),
+    "repro.core.tiles_nn": ("NNTileSpec",),
+    "repro.core.tiles_udg": ("UDGTileSpec",),
+    "repro.core.tiling": ("Tiling", "TileIndex"),
+    "repro.core.udg_sens": ("build_udg_sens",),
+})

@@ -20,7 +20,7 @@ by point id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -28,7 +28,9 @@ from repro.core.tiles_base import TileSpec
 from repro.core.tiling import TileIndex, Tiling
 from repro.geometry.primitives import as_points
 from repro.kernels.layout import sort_groups
-from repro.percolation.lattice import LatticeConfiguration
+
+if TYPE_CHECKING:
+    from repro.percolation.lattice import LatticeConfiguration
 
 __all__ = [
     "TileRecord",
@@ -256,6 +258,8 @@ class TileClassification:
 
         Wraps ``good_mask`` itself, without a copy.
         """
+        from repro.percolation.lattice import LatticeConfiguration  # not on the serving path
+
         return LatticeConfiguration(self.good_mask, wrap=wrap)
 
 

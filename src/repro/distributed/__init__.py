@@ -23,11 +23,7 @@ that algorithm faithfully as a synchronous message-passing computation:
   cost proportional to the diff.
 """
 
-from repro.distributed.construct import DistributedBuildResult, distributed_build
-from repro.distributed.leader_election import elect_leader_distributed
-from repro.distributed.messages import Message
-from repro.distributed.network import MessageNetwork, NetworkStats
-from repro.distributed.repair import DistributedRepairEngine, RepairReport, repair_build
+from repro._exports import lazy_exports
 
 __all__ = [
     "Message",
@@ -40,3 +36,11 @@ __all__ = [
     "RepairReport",
     "repair_build",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.distributed.construct": ("DistributedBuildResult", "distributed_build"),
+    "repro.distributed.leader_election": ("elect_leader_distributed",),
+    "repro.distributed.messages": ("Message",),
+    "repro.distributed.network": ("MessageNetwork", "NetworkStats"),
+    "repro.distributed.repair": ("DistributedRepairEngine", "RepairReport", "repair_build"),
+})

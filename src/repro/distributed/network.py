@@ -22,15 +22,17 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import weakref
 
 import numpy as np
 
 from repro.distributed.messages import Message
-from repro.faults.plan import DELAY, DROP, DUPLICATE, FaultInjector
 from repro.geometry.index import build_index
 from repro.geometry.primitives import as_points
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultInjector
 
 __all__ = [
     "NetworkStats",
@@ -238,6 +240,8 @@ class MessageNetwork:
         for message in queue:
             fault = self.injector.fire("network.deliver") if self.injector else None
             if fault is not None:
+                from repro.faults.plan import DELAY, DROP, DUPLICATE  # only a faulted run
+
                 if fault.kind == DROP:
                     self.stats.dropped += 1
                     continue

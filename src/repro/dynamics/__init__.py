@@ -12,11 +12,10 @@ like?"; this subsystem answers "what happens to it over time?".
   on the grid backend, a rebuild-threshold divergence buffer on the KD-tree
   backend), byte-identical to a from-scratch ``build_index``; bulk queries
   are vectorised straight off the patched structures.
-* :mod:`repro.dynamics.topology` — per-timestep UDG/kNN edge *diffs*
-  (:class:`TopologyTracker`; :class:`KnnTopologyTracker` bounds each
-  update's affected set by the current kNN radii), so downstream metrics and
-  the :class:`repro.distributed.repair.DistributedRepairEngine` consume
-  deltas instead of recomputing graphs.
+* :mod:`repro.dynamics.topology` — per-timestep UDG edge *diffs*
+  (:class:`TopologyTracker`), so downstream metrics and the
+  :class:`repro.distributed.repair.DistributedRepairEngine` consume deltas
+  instead of recomputing graphs.
 * :mod:`repro.dynamics.workloads` — the registered scenario workloads
   ``M01`` (mobility), ``M02`` (mobile distributed build through the repair
   engine), ``F01`` (failure), ``H01`` (heterogeneous radii).
@@ -25,10 +24,7 @@ like?"; this subsystem answers "what happens to it over time?".
   vs their naive baselines).
 """
 
-from repro.dynamics.churn import CorrelatedOutage, LifetimeChurn, heterogeneous_radii
-from repro.dynamics.incremental import DynamicIndexStats, DynamicSpatialIndex
-from repro.dynamics.mobility import Drift, MobilityModel, RandomWalk, RandomWaypoint, reflect_into
-from repro.dynamics.topology import EdgeDiff, KnnTopologyTracker, TopologyTracker
+from repro._exports import lazy_exports
 
 __all__ = [
     "CorrelatedOutage",
@@ -36,7 +32,6 @@ __all__ = [
     "DynamicIndexStats",
     "DynamicSpatialIndex",
     "EdgeDiff",
-    "KnnTopologyTracker",
     "LifetimeChurn",
     "MobilityModel",
     "RandomWalk",
@@ -45,3 +40,16 @@ __all__ = [
     "heterogeneous_radii",
     "reflect_into",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dynamics.churn": ("CorrelatedOutage", "LifetimeChurn", "heterogeneous_radii"),
+    "repro.dynamics.incremental": ("DynamicIndexStats", "DynamicSpatialIndex"),
+    "repro.dynamics.mobility": (
+        "Drift",
+        "MobilityModel",
+        "RandomWalk",
+        "RandomWaypoint",
+        "reflect_into",
+    ),
+    "repro.dynamics.topology": ("EdgeDiff", "TopologyTracker"),
+})

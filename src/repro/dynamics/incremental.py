@@ -480,14 +480,20 @@ class DynamicSpatialIndex:
         key = self._geom._exact_keys(coords)
         reach = self._geom._reach(radius)
         lo, hi = self._geom._boundary_slack(coords, key, radius)
-        cx, cy = int(key[0, 0]), int(key[0, 1])
-        parts = []
-        for dx in range(-reach - int(lo[0, 0]), reach + int(hi[0, 0]) + 1):
-            row = cx + dx
-            for dy in range(-reach - int(lo[0, 1]), reach + int(hi[0, 1]) + 1):
-                arr = self._cells.get((row, cy + dy))
-                if arr is not None:
-                    parts.append(arr)
+        x0, x1 = int(key[0, 0]) - reach - int(lo[0, 0]), int(key[0, 0]) + reach + int(hi[0, 0])
+        y0, y1 = int(key[0, 1]) - reach - int(lo[0, 1]), int(key[0, 1]) + reach + int(hi[0, 1])
+        cells = self._cells
+        if (x1 - x0 + 1) * (y1 - y0 + 1) > len(cells):
+            # A stencil wider than the occupied cells (a large radius): visit
+            # the occupied cells inside its box instead of every stencil cell.
+            parts = [arr for (x, y), arr in cells.items() if x0 <= x <= x1 and y0 <= y <= y1]
+        else:
+            parts = [
+                arr
+                for x in range(x0, x1 + 1)
+                for y in range(y0, y1 + 1)
+                if (arr := cells.get((x, y))) is not None
+            ]
         if not parts:
             return _EMPTY_IDS.copy()
         cand = np.concatenate(parts)

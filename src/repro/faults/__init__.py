@@ -10,25 +10,7 @@ envelope must *also* recover to byte-identical output — the chaos property
 tests in :mod:`repro.faults.chaos` certify exactly that.
 """
 
-from repro.faults.plan import (
-    CRASH,
-    DELAY,
-    DROP,
-    DUPLICATE,
-    FAULT_KINDS,
-    KILL,
-    STALL,
-    Fault,
-    FaultError,
-    FaultInjector,
-    FaultPlan,
-    FaultToleranceExceeded,
-    InjectedWorkerCrash,
-    PointSpec,
-    ServeKilled,
-    sample_plan,
-)
-from repro.faults.retry import RetryError, RetryPolicy, call_with_retry
+from repro._exports import lazy_exports
 
 __all__ = [
     "CRASH",
@@ -51,3 +33,25 @@ __all__ = [
     "RetryPolicy",
     "call_with_retry",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.plan": (
+        "CRASH",
+        "DELAY",
+        "DROP",
+        "DUPLICATE",
+        "FAULT_KINDS",
+        "KILL",
+        "STALL",
+        "Fault",
+        "FaultError",
+        "FaultInjector",
+        "FaultPlan",
+        "FaultToleranceExceeded",
+        "InjectedWorkerCrash",
+        "PointSpec",
+        "ServeKilled",
+        "sample_plan",
+    ),
+    "repro.faults.retry": ("RetryError", "RetryPolicy", "call_with_retry"),
+})

@@ -205,7 +205,7 @@ class PointSpec:
             raise ValueError("rate must be in [0, 1]")
 
 
-SeedLike = Union[int, np.random.SeedSequence]
+SeedLike = Union[int, "np.random.SeedSequence"]  # quoted: np.random would load numpy.random
 
 
 def _point_child(root: np.random.SeedSequence, point: str) -> np.random.SeedSequence:

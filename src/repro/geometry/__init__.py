@@ -19,27 +19,7 @@ Everything here is deterministic given a :class:`numpy.random.Generator`
 seed; no global random state is used anywhere in the library.
 """
 
-from repro.geometry.index import BACKENDS, GridIndex, KDTreeIndex, SpatialIndex, build_index
-from repro.geometry.integration import estimate_area_grid, estimate_area_monte_carlo
-from repro.geometry.poisson import PoissonProcess, poisson_points
-from repro.geometry.predicates import (
-    AnnulusPredicate,
-    DiscIntersectionPredicate,
-    DiscPredicate,
-    HalfPlanePredicate,
-    IntersectionPredicate,
-    DifferencePredicate,
-    RegionPredicate,
-    UnionPredicate,
-)
-from repro.geometry.primitives import (
-    Disc,
-    Rect,
-    pairwise_distances,
-    points_in_disc,
-    points_in_rect,
-    squared_distances,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "Disc",
@@ -66,3 +46,33 @@ __all__ = [
     "SpatialIndex",
     "build_index",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.geometry.index": (
+        "BACKENDS",
+        "GridIndex",
+        "KDTreeIndex",
+        "SpatialIndex",
+        "build_index",
+    ),
+    "repro.geometry.integration": ("estimate_area_grid", "estimate_area_monte_carlo"),
+    "repro.geometry.poisson": ("PoissonProcess", "poisson_points"),
+    "repro.geometry.predicates": (
+        "AnnulusPredicate",
+        "DiscIntersectionPredicate",
+        "DiscPredicate",
+        "HalfPlanePredicate",
+        "IntersectionPredicate",
+        "DifferencePredicate",
+        "RegionPredicate",
+        "UnionPredicate",
+    ),
+    "repro.geometry.primitives": (
+        "Disc",
+        "Rect",
+        "pairwise_distances",
+        "points_in_disc",
+        "points_in_rect",
+        "squared_distances",
+    ),
+})

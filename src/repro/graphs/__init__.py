@@ -18,24 +18,7 @@ All builders return a :class:`GeometricGraph`, a light wrapper around a node
 coordinate array and an edge list that converts to ``networkx`` on demand.
 """
 
-from repro.graphs.base import GeometricGraph
-from repro.graphs.knn import build_knn, knn_edges, knn_neighbour_indices
-from repro.graphs.metrics import (
-    GraphSummary,
-    component_sizes,
-    degree_statistics,
-    euclidean_path_length,
-    graph_summary,
-    largest_component_fraction,
-    shortest_path_hops,
-)
-from repro.graphs.spanners import (
-    build_euclidean_mst,
-    build_gabriel_graph,
-    build_relative_neighbourhood_graph,
-    build_yao_graph,
-)
-from repro.graphs.udg import build_udg, udg_edges
+from repro._exports import lazy_exports
 
 __all__ = [
     "GeometricGraph",
@@ -56,3 +39,24 @@ __all__ = [
     "shortest_path_hops",
     "euclidean_path_length",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.graphs.base": ("GeometricGraph",),
+    "repro.graphs.knn": ("build_knn", "knn_edges", "knn_neighbour_indices"),
+    "repro.graphs.metrics": (
+        "GraphSummary",
+        "component_sizes",
+        "degree_statistics",
+        "euclidean_path_length",
+        "graph_summary",
+        "largest_component_fraction",
+        "shortest_path_hops",
+    ),
+    "repro.graphs.spanners": (
+        "build_euclidean_mst",
+        "build_gabriel_graph",
+        "build_relative_neighbourhood_graph",
+        "build_yao_graph",
+    ),
+    "repro.graphs.udg": ("build_udg", "udg_edges"),
+})

@@ -24,16 +24,7 @@ Discipline (see CONTRIBUTING.md): every kernel keeps its scalar loop in
 against it.
 """
 
-from repro.kernels.layout import CELL_KEYS, POSITIONS, ROW_IDS, BufferSpec, CellTable
-from repro.kernels.ops import (
-    cell_gather,
-    count_in_balls,
-    pair_candidates,
-    splice_edges,
-    step_events,
-    within_ball_mask,
-)
-from repro.kernels.profile import KernelProfiler, KernelStats, active_profiler, profiled
+from repro._exports import lazy_exports
 
 __all__ = [
     "BufferSpec",
@@ -52,3 +43,16 @@ __all__ = [
     "active_profiler",
     "profiled",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.kernels.layout": ("CELL_KEYS", "POSITIONS", "ROW_IDS", "BufferSpec", "CellTable"),
+    "repro.kernels.ops": (
+        "cell_gather",
+        "count_in_balls",
+        "pair_candidates",
+        "splice_edges",
+        "step_events",
+        "within_ball_mask",
+    ),
+    "repro.kernels.profile": ("KernelProfiler", "KernelStats", "active_profiler", "profiled"),
+})

@@ -19,20 +19,7 @@ The literature value of the threshold is exposed as
 :data:`SITE_PERCOLATION_THRESHOLD`.
 """
 
-from repro.percolation.chemical import chemical_distance, chemical_distances_from, chemical_stretch_samples
-from repro.percolation.clusters import (
-    ClusterStatistics,
-    UnionFind,
-    cluster_statistics,
-    continuum_cluster_labels,
-    continuum_largest_cluster_fraction,
-    label_clusters,
-    largest_cluster_mask,
-    has_spanning_cluster,
-    theta_estimate,
-)
-from repro.percolation.critical import estimate_critical_probability, spanning_probability_curve
-from repro.percolation.lattice import LatticeConfiguration, sample_site_percolation
+from repro._exports import lazy_exports
 
 #: Accepted numerical value of the site-percolation threshold on Z²
 #: (the paper uses the bracket (0.592, 0.593); modern numerics give 0.592746).
@@ -57,3 +44,24 @@ __all__ = [
     "chemical_distances_from",
     "chemical_stretch_samples",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.percolation.chemical": (
+        "chemical_distance",
+        "chemical_distances_from",
+        "chemical_stretch_samples",
+    ),
+    "repro.percolation.clusters": (
+        "ClusterStatistics",
+        "UnionFind",
+        "cluster_statistics",
+        "continuum_cluster_labels",
+        "continuum_largest_cluster_fraction",
+        "label_clusters",
+        "largest_cluster_mask",
+        "has_spanning_cluster",
+        "theta_estimate",
+    ),
+    "repro.percolation.critical": ("estimate_critical_probability", "spanning_probability_curve"),
+    "repro.percolation.lattice": ("LatticeConfiguration", "sample_site_percolation"),
+})

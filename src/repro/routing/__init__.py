@@ -12,9 +12,7 @@
   shortest-path reference used for comparison.
 """
 
-from repro.routing.baselines import greedy_geographic_route, shortest_path_route, GreedyRouteResult
-from repro.routing.mesh import MeshRouteResult, route_xy_mesh
-from repro.routing.overlay import OverlayRouteResult, route_on_overlay
+from repro._exports import lazy_exports
 
 __all__ = [
     "MeshRouteResult",
@@ -25,3 +23,13 @@ __all__ = [
     "shortest_path_route",
     "GreedyRouteResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.routing.baselines": (
+        "greedy_geographic_route",
+        "shortest_path_route",
+        "GreedyRouteResult",
+    ),
+    "repro.routing.mesh": ("MeshRouteResult", "route_xy_mesh"),
+    "repro.routing.overlay": ("OverlayRouteResult", "route_on_overlay"),
+})

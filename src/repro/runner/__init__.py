@@ -23,26 +23,8 @@ py_experimenter model: an experiment is a pure function of its parameter row.
   ``... sweep sweep.toml [--enqueue]``, ``... worker --store x.sqlite``.
 """
 
-from repro.runner.executor import (
-    Job,
-    JobOutcome,
-    RunReport,
-    load_builtin_experiments,
-    make_jobs,
-    run_jobs,
-)
+from repro._exports import lazy_exports
 from repro.runner.grid import grid
-from repro.runner.queue import JobQueue, QueuedJob, WorkerReport, run_worker
-from repro.runner.registry import REGISTRY, Experiment, ExperimentRegistry, get_experiment, register
-from repro.runner.serialize import canonical_json, jsonify, params_key
-from repro.runner.sqlite_store import SqliteStore
-from repro.runner.store import (
-    DEFAULT_STORE_DIR,
-    JsonlStore,
-    ResultStore,
-    StoreCorruptionWarning,
-)
-from repro.runner.sweep import ExperimentSweep, SweepConfig, load_sweep
 
 __all__ = [
     "DEFAULT_STORE_DIR",
@@ -73,3 +55,31 @@ __all__ = [
     "run_jobs",
     "run_worker",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runner.executor": (
+        "Job",
+        "JobOutcome",
+        "RunReport",
+        "load_builtin_experiments",
+        "make_jobs",
+        "run_jobs",
+    ),
+    "repro.runner.queue": ("JobQueue", "QueuedJob", "WorkerReport", "run_worker"),
+    "repro.runner.registry": (
+        "REGISTRY",
+        "Experiment",
+        "ExperimentRegistry",
+        "get_experiment",
+        "register",
+    ),
+    "repro.runner.serialize": ("canonical_json", "jsonify", "params_key"),
+    "repro.runner.sqlite_store": ("SqliteStore",),
+    "repro.runner.store": (
+        "DEFAULT_STORE_DIR",
+        "JsonlStore",
+        "ResultStore",
+        "StoreCorruptionWarning",
+    ),
+    "repro.runner.sweep": ("ExperimentSweep", "SweepConfig", "load_sweep"),
+})

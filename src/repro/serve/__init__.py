@@ -35,12 +35,7 @@ the world byte-identical to applying the same events through the batch
 asserted by the S05 benchmark and the CI serve-smoke).
 """
 
-from repro.serve.batching import CoalescedBatch, TickBatcher, coalesce_events
-from repro.serve.metrics import LatencyRecorder
-from repro.serve.protocol import ProtocolError, Request, parse_line
-from repro.serve.server import ServeSession
-from repro.serve.snapshot import latest_snapshot, restore_world, save_snapshot
-from repro.serve.world import LiveWorld, WorldConfig
+from repro._exports import lazy_exports
 
 __all__ = [
     "CoalescedBatch",
@@ -57,3 +52,12 @@ __all__ = [
     "LiveWorld",
     "WorldConfig",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.batching": ("CoalescedBatch", "TickBatcher", "coalesce_events"),
+    "repro.serve.metrics": ("LatencyRecorder",),
+    "repro.serve.protocol": ("ProtocolError", "Request", "parse_line"),
+    "repro.serve.server": ("ServeSession",),
+    "repro.serve.snapshot": ("latest_snapshot", "restore_world", "save_snapshot"),
+    "repro.serve.world": ("LiveWorld", "WorldConfig"),
+})

@@ -32,12 +32,10 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 import pathlib
-from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, IO, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.faults.plan import KILL, FaultInjector, ServeKilled
-from repro.runner.store import ResultStore
 from repro.serve.batching import (
     DEFAULT_HIGH_WATER,
     DEFAULT_TICK_INTERVAL,
@@ -56,6 +54,10 @@ from repro.serve.protocol import (
 )
 from repro.serve.snapshot import save_snapshot
 from repro.serve.world import ApplyResult, LiveWorld
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultInjector
+    from repro.runner.store import ResultStore
 
 __all__ = ["HandleResult", "ServeSession", "ServeDaemon", "run_stdio"]
 
@@ -221,6 +223,8 @@ class ServeSession:
         accepting events and committing them.
         """
         if self.injector is not None:
+            from repro.faults.plan import KILL, ServeKilled  # only a faulted run
+
             fault = self.injector.fire("serve.tick")
             if fault is not None and fault.kind == KILL:
                 raise ServeKilled("injected daemon death mid-tick")

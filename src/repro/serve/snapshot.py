@@ -20,10 +20,12 @@ kill/restore test asserts this end to end).
 from __future__ import annotations
 
 import pathlib
-from typing import Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
-from repro.runner.store import ResultStore
 from repro.serve.world import LiveWorld
+
+if TYPE_CHECKING:
+    from repro.runner.store import ResultStore
 
 __all__ = ["SNAPSHOT_EXPERIMENT_ID", "save_snapshot", "latest_snapshot", "restore_world"]
 
@@ -32,6 +34,8 @@ SNAPSHOT_EXPERIMENT_ID = "SERVE"
 
 
 def _open(store: Union[str, pathlib.Path, ResultStore]) -> ResultStore:
+    from repro.runner.store import ResultStore  # a snapshot, not the daemon's start, needs it
+
     return store if isinstance(store, ResultStore) else ResultStore(store)
 
 

@@ -6,8 +6,7 @@ pool worker — the per-shard construction pass (:mod:`repro.shard.worker`)
 and the shared-memory lifecycle helpers (:mod:`repro.shard.shm`).
 """
 
-from repro.shard.shm import attach_block, create_block
-from repro.shard.worker import ShardResult, ShardTask, build_shard, run_shard_task
+from repro._exports import lazy_exports
 
 __all__ = [
     "ShardResult",
@@ -17,3 +16,8 @@ __all__ = [
     "create_block",
     "run_shard_task",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.shard.shm": ("attach_block", "create_block"),
+    "repro.shard.worker": ("ShardResult", "ShardTask", "build_shard", "run_shard_task"),
+})

@@ -16,10 +16,7 @@ provides the simulator those workloads run on:
   per delivered packet and network lifetime.
 """
 
-from repro.simulation.datacollection import ConvergecastResult, run_convergecast
-from repro.simulation.energy import EnergyModel, EnergyLedger
-from repro.simulation.events import EventQueue, SimulationEvent
-from repro.simulation.sensing import SensingField, MovingTarget, coverage_fraction
+from repro._exports import lazy_exports
 
 __all__ = [
     "EnergyModel",
@@ -32,3 +29,10 @@ __all__ = [
     "ConvergecastResult",
     "run_convergecast",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simulation.datacollection": ("ConvergecastResult", "run_convergecast"),
+    "repro.simulation.energy": ("EnergyModel", "EnergyLedger"),
+    "repro.simulation.events": ("EventQueue", "SimulationEvent"),
+    "repro.simulation.sensing": ("SensingField", "MovingTarget", "coverage_fraction"),
+})

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.dynamics.incremental import DynamicSpatialIndex
-from repro.dynamics.topology import EdgeDiff, KnnTopologyTracker, TopologyTracker, _decode, _encode
+from repro.dynamics.topology import EdgeDiff, TopologyTracker, _decode, _encode
 from repro.geometry.index import BACKENDS
-from repro.graphs.knn import knn_edges
 from repro.graphs.udg import udg_edges
 
 RADIUS = 1.2
@@ -218,114 +217,3 @@ def test_tracker_neighbours_equal_index_ball_queries_over_a_storm(backend):
     gaps = np.hypot(*(exact[:, None, :] - exact[None, :, :]).transpose(2, 0, 1))
     assert (gaps == 0.0).sum() > len(exact) and (gaps == radius).any()  # the storm hit both edge cases
 
-
-class TestKnnTopologyTracker:
-    def test_recompute_diff_matches_static_builder(self, rng):
-        pts = rng.uniform(0, 6, size=(40, 2))
-        dyn = DynamicSpatialIndex(pts, radius=1.0)
-        tracker = KnnTopologyTracker(dyn, k=3)
-        assert _edge_set(tracker.edges()) == _edge_set(knn_edges(pts, 3))
-        replayed = _edge_set(tracker.edges())
-        for _ in range(4):
-            ids = dyn.ids()
-            movers = rng.choice(ids, size=8, replace=False)
-            rows = np.searchsorted(ids, movers)
-            dyn.move(movers, dyn.positions()[rows] + rng.normal(0, 0.6, size=(8, 2)))
-            dyn.delete(rng.choice(dyn.ids(), size=2, replace=False))
-            replayed = _apply(tracker.update(), replayed)
-            ids = dyn.ids()
-            expected = {
-                (int(ids[a]), int(ids[b])) for a, b in knn_edges(dyn.positions(), 3)
-            }
-            assert replayed == expected
-
-    def test_invalid_k_rejected(self, rng):
-        dyn = DynamicSpatialIndex(rng.uniform(0, 2, size=(5, 2)), radius=1.0)
-        with pytest.raises(ValueError):
-            KnnTopologyTracker(dyn, k=0)
-        with pytest.raises(ValueError):
-            KnnTopologyTracker(dyn, k=2, recompute_fraction=0.0)
-
-
-class TestKnnIncrementalRepair:
-    """The kNN-radius locality bound: repair only the affected nodes."""
-
-    @pytest.mark.parametrize("backend", ["kdtree", "grid"])
-    def test_sparse_updates_match_recompute(self, backend, rng):
-        pts = rng.uniform(0, 10, size=(120, 2))
-        dyn = DynamicSpatialIndex(pts, radius=1.0)
-        tracker = KnnTopologyTracker(dyn, k=4, backend=backend)
-        replayed = _edge_set(tracker.edges())
-        for step in range(12):
-            ids = dyn.ids()
-            # Sparse motion: well under the recompute threshold.
-            movers = rng.choice(ids, size=5, replace=False)
-            rows = np.searchsorted(ids, movers)
-            dyn.move(movers, dyn.positions()[rows] + rng.normal(0, 0.8, size=(5, 2)))
-            if step % 3 == 0:
-                dyn.insert(rng.uniform(0, 10, size=(2, 2)))
-            if step % 3 == 1:
-                dyn.delete(rng.choice(dyn.ids(), size=2, replace=False))
-            replayed = _apply(tracker.update(), replayed)
-            assert replayed == _edge_set(tracker.edges())
-            assert tracker.matches_recompute()
-        assert tracker.full_recomputes == 0
-        assert tracker.repaired_nodes < 12 * len(pts)  # strictly less than recompute
-
-    def test_far_move_does_not_touch_unrelated_neighbourhoods(self, rng):
-        # Two well-separated clusters: moving a node within one cluster must
-        # not re-query the other one.
-        cluster_a = rng.uniform(0, 3, size=(30, 2))
-        cluster_b = rng.uniform(100, 103, size=(30, 2))
-        dyn = DynamicSpatialIndex(np.vstack([cluster_a, cluster_b]), radius=1.0)
-        tracker = KnnTopologyTracker(dyn, k=3)
-        dyn.move([0], dyn.position_of(0)[None, :] + 0.2)
-        tracker.update()
-        assert tracker.matches_recompute()
-        assert tracker.repaired_nodes <= 30  # nothing from cluster B
-
-    def test_mass_mobility_falls_back_to_recompute(self, rng):
-        pts = rng.uniform(0, 6, size=(50, 2))
-        dyn = DynamicSpatialIndex(pts, radius=1.0)
-        tracker = KnnTopologyTracker(dyn, k=3)
-        dyn.move(dyn.ids(), dyn.positions() + rng.normal(0, 0.3, size=pts.shape))
-        tracker.update()
-        assert tracker.full_recomputes == 1
-        assert tracker.matches_recompute()
-
-    def test_k_eff_transitions_recompute(self, rng):
-        # Growing through n = k + 1 changes every list's length; the tracker
-        # must notice and recompute rather than repair.
-        dyn = DynamicSpatialIndex(rng.uniform(0, 2, size=(2, 2)), radius=1.0)
-        tracker = KnnTopologyTracker(dyn, k=3, recompute_fraction=10.0)
-        for _ in range(4):
-            dyn.insert(rng.uniform(0, 2, size=(1, 2)))
-            tracker.update()
-            assert tracker.matches_recompute()
-        # n is now 6 > k + 1: a sparse move goes through the repair path.
-        dyn.move([0], rng.uniform(0, 2, size=(1, 2)))
-        before = tracker.full_recomputes
-        tracker.update()
-        assert tracker.full_recomputes == before
-        assert tracker.matches_recompute()
-        # Shrinking back through n = k + 1 recomputes again.
-        dyn.delete([1, 2, 3])
-        tracker.update()
-        assert tracker.full_recomputes == before + 1
-        assert tracker.matches_recompute()
-
-    def test_empty_and_single_node_sessions(self, rng):
-        dyn = DynamicSpatialIndex(np.array([[0.0, 0.0]]), radius=1.0)
-        tracker = KnnTopologyTracker(dyn, k=2)
-        assert tracker.n_edges == 0
-        dyn.move([0], np.array([[1.0, 1.0]]))
-        assert tracker.update().churn == 0
-        dyn.delete([0])
-        tracker.update()
-        assert tracker.matches_recompute() and tracker.n_edges == 0
-
-    def test_no_updates_yield_empty_diff(self, rng):
-        dyn = DynamicSpatialIndex(rng.uniform(0, 4, size=(20, 2)), radius=1.0)
-        tracker = KnnTopologyTracker(dyn, k=3)
-        diff = tracker.update()
-        assert diff.churn == 0 and tracker.full_recomputes == 0

@@ -1,13 +1,16 @@
-"""Cold start: the serving path runs without scipy or networkx.
+"""Cold start: the serving path loads only the modules it runs.
 
 A killed daemon comes back only through a cold start (restore, rebuild the
 edge set and the overlay), so what the serving path imports bounds its
-recovery time.  Each case runs in a fresh interpreter, because the test
-process itself has long since imported every optional dependency.
+recovery time.  It loads no scipy, networkx or ``numpy.random``, and none of
+the library's batch, analysis and experiment modules.  Each case runs in a
+fresh interpreter, because the test process itself has long since imported
+every optional dependency.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from pathlib import Path
@@ -18,6 +21,31 @@ import textwrap
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 HEAVY = ("scipy", "networkx")
+
+#: Library modules the serving path never runs, and packages none of whose
+#: modules it runs (the package itself included).
+DENIED_MODULES = (
+    "repro.runner.executor",
+    "repro.runner.queue",
+    "repro.runner.sweep",
+    "repro.runner.registry",
+    "repro.runner.store",
+    "repro.core.coverage",
+    "repro.core.nn_sens",
+    "repro.core.thresholds",
+    "repro.core.stretch",
+    "repro.core.udg_sens",
+    "repro.graphs.knn",
+)
+DENIED_PACKAGES = (
+    "repro.faults",
+    "repro.percolation",
+    "repro.routing",
+    "repro.analysis",
+    "repro.simulation",
+    "repro.shard",
+)
+MAX_REPRO_MODULES = 40
 
 SERVE_SCRIPT = textwrap.dedent(
     """
@@ -31,7 +59,8 @@ SERVE_SCRIPT = textwrap.dedent(
     from repro.serve.server import run_stdio
 
     side = 4.0
-    points = np.random.default_rng(11).uniform(0.0, side, size=(200, 2))
+    # An additive-recurrence point set: numpy.random must stay unloaded.
+    points = side * (np.arange(1, 201)[:, None] * np.array([0.7548776662, 0.5698402910]) % 1.0)
     world = LiveWorld(points, WorldConfig(0.0, 0.0, side, side))
     restored = LiveWorld.from_state(world.state())
     assert restored.digest() == world.digest()
@@ -55,7 +84,14 @@ SERVE_SCRIPT = textwrap.dedent(
     run_stdio(ServeSession(restored), [json.dumps(line) for line in lines], out)
     replies = [json.loads(line) for line in out.getvalue().splitlines()]
     loaded = sorted(m for m in sys.modules if m.split(".")[0] in HEAVY)
-    print(json.dumps({"replies": replies, "loaded": loaded, "good": len(reps)}))
+    library = sorted(m for m in sys.modules if m.split(".")[0] == "repro")
+    print(json.dumps({
+        "replies": replies,
+        "loaded": loaded,
+        "library": library,
+        "numpy_random": "numpy.random" in sys.modules,
+        "good": len(reps),
+    }))
     """
 )
 
@@ -80,6 +116,7 @@ FIRST_USE_SCRIPT = textwrap.dedent(
 )
 
 
+@functools.lru_cache(maxsize=None)
 def _run(script: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", f"HEAVY = {HEAVY!r}\n" + script],
@@ -102,6 +139,17 @@ def test_serving_path_loads_no_scipy_or_networkx():
     assert len(routes) == 2 and all(route["success"] for route in routes)
     assert [reply["n_alive"] for reply in replies if reply.get("ticked")] == [200, 200]
     assert len(replies[-1]["digest"]) == 64
+
+
+def test_serving_path_loads_only_the_modules_it_runs():
+    report = _run(SERVE_SCRIPT)
+    library = report["library"]
+    denied = [
+        m for m in library if m in DENIED_MODULES or ".".join(m.split(".")[:2]) in DENIED_PACKAGES
+    ]
+    assert denied == []
+    assert len(library) <= MAX_REPRO_MODULES, library
+    assert report["numpy_random"] is False
 
 
 def test_scipy_backed_calls_work_on_first_use():

@@ -3,7 +3,7 @@
 The serving daemon ticks on a timer, so most ticks carry no events; the
 regression here pins that an empty diff costs nothing — no protocol
 messages, no round accounting, no repair/recompute bookkeeping — in the
-repair engine, in both topology-tracker flavours and through
+repair engine, in the topology tracker and through
 ``LiveWorld.apply`` with an empty coalesced batch.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from repro.core.tiles_udg import UDGTileSpec
 from repro.distributed.repair import DistributedRepairEngine, RepairReport
 from repro.dynamics.incremental import DynamicSpatialIndex
-from repro.dynamics.topology import KnnTopologyTracker, TopologyTracker
+from repro.dynamics.topology import TopologyTracker
 from repro.geometry.primitives import Rect
 from repro.serve.batching import coalesce_events
 from repro.serve.world import LiveWorld, WorldConfig
@@ -47,45 +47,6 @@ def test_repair_engine_empty_update_is_noop(deployment):
     assert engine.stats.messages_sent == messages
     assert engine.stats.rounds == rounds
     assert np.array_equal(engine.result().edges, edges_before)
-
-
-def test_knn_tracker_empty_update_is_noop(deployment):
-    index = DynamicSpatialIndex(deployment, radius=1.0, backend="grid")
-    tracker = KnnTopologyTracker(index, k=3)
-    edges_before = tracker.edges().copy()
-    repaired = tracker.repaired_nodes
-    recomputes = tracker.full_recomputes
-
-    diff = tracker.update()
-    assert len(diff.added) == 0 and len(diff.removed) == 0
-    diff = tracker.update(dirty=_EMPTY, deleted=_EMPTY)
-    assert len(diff.added) == 0 and len(diff.removed) == 0
-    assert tracker.repaired_nodes == repaired
-    assert tracker.full_recomputes == recomputes
-    assert np.array_equal(tracker.edges(), edges_before)
-
-
-def test_knn_tracker_shares_consumed_stream_with_engine(deployment):
-    """The M02 shared-stream pattern now composes with the kNN flavour too."""
-    index = DynamicSpatialIndex(deployment, radius=1.0, backend="grid")
-    tracker = KnnTopologyTracker(index, k=3)
-    engine = DistributedRepairEngine(index, UDGTileSpec.default(), Rect(0, 0, 12, 12))
-
-    index.move(np.array([0, 1]), np.array([[6.0, 6.0], [6.2, 6.0]]))
-    dirty, deleted = index.consume_dirty()
-    tracker.update(dirty=dirty, deleted=deleted)
-    report = engine.update(dirty=dirty, deleted=deleted)
-    assert report.dirty_tiles > 0
-    assert tracker.matches_recompute()
-
-
-def test_knn_tracker_rejects_half_a_stream(deployment):
-    index = DynamicSpatialIndex(deployment, radius=1.0, backend="grid")
-    tracker = KnnTopologyTracker(index, k=3)
-    with pytest.raises(ValueError, match="both dirty and deleted"):
-        tracker.update(dirty=_EMPTY)
-    with pytest.raises(ValueError, match="both dirty and deleted"):
-        tracker.update(deleted=_EMPTY)
 
 
 def test_udg_tracker_empty_explicit_pair_is_noop(deployment):

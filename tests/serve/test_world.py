@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.serve.batching import TickBatcher, coalesce_events
 from repro.serve.protocol import Request
+from repro.serve.server import ServeSession
 from repro.serve.world import LiveWorld, WorldConfig
 
 
@@ -142,6 +145,23 @@ class TestQueries:
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 world.coverage(far, sensing_radius=bad)
+
+    @pytest.mark.parametrize("backend", ["grid", "kdtree"])
+    def test_neighbours_at_a_radius_far_past_the_window(self, backend, rng):
+        # 60 nodes occupy far fewer cells than any stencil below, so the grid
+        # visits its occupied cells, not the (2·reach+1)² stencil.
+        positions = rng.uniform(0.0, 15.0, size=(60, 2))
+        world = LiveWorld(positions, WorldConfig(backend=backend))
+        session = ServeSession(world)
+        for radius in (6.0, 100.0, 1e6, 1e12):
+            for node in (0, 17, 59):
+                gaps = np.hypot(*(positions - positions[node]).T)
+                expected = [i for i in np.flatnonzero(gaps <= radius).tolist() if i != node]
+                assert world.index.neighbours_of(node, radius).tolist() == expected
+                query = {"op": "query", "kind": "neighbours", "node": node, "radius": radius}
+                reply = json.loads(session.handle_line(json.dumps(query)).immediate)
+                assert reply["neighbours"] == expected, (radius, node)
+        assert len(expected) == 59
 
 
 class TestMemoisedOverlay:
