@@ -41,7 +41,7 @@ def main() -> None:
           f"(radio range {RADIO_RANGE:g}, sensing radius {SENSING_RADIUS:g})")
 
     mobility = RandomWaypoint(pts, window, speed_range=(0.5 * NODE_SPEED, 1.5 * NODE_SPEED), rng=rng)
-    index = DynamicSpatialIndex(pts, radius=RADIO_RANGE, backend="grid")
+    index = DynamicSpatialIndex(pts, radius=RADIO_RANGE)
     tracker = TopologyTracker(index, RADIO_RANGE)
     target = MovingTarget(
         np.array([[0.1 * SIDE, 0.2 * SIDE], [0.9 * SIDE, 0.4 * SIDE], [0.3 * SIDE, 0.9 * SIDE]]),

@@ -125,8 +125,9 @@ def experiment_s01_spatial_backends(
         if lam == critical:
             grid: GridIndex = build_index(pts, radius=radius, backend="grid")
             bulk_s = _best_of(repeats, lambda: grid.query_radius_many(pts, radius))
-            # The pre-refactor hot path: one scalar query per point, measured
-            # with the same best-of policy so neither side keeps warmup noise.
+            # One scalar query per point (each a one-center call of the bulk
+            # engine), measured with the same best-of policy so neither side
+            # keeps warmup noise.
             scalar_s = _best_of(repeats, lambda: [grid.query_radius(p, radius) for p in pts])
             grid_bulk_speedup = scalar_s / bulk_s if bulk_s > 0 else float("inf")
 

@@ -8,10 +8,9 @@ like?"; this subsystem answers "what happens to it over time?".
 * :mod:`repro.dynamics.churn` — failure/arrival processes (i.i.d. lifetimes,
   spatially correlated outage discs) and heterogeneous radio radii.
 * :mod:`repro.dynamics.incremental` — :class:`DynamicSpatialIndex`: point
-  moves/inserts/deletes answered without full rebuilds (dirty-cell patching
-  on the grid backend, a rebuild-threshold divergence buffer on the KD-tree
-  backend), byte-identical to a from-scratch ``build_index``; bulk queries
-  are vectorised straight off the patched structures.
+  moves/inserts/deletes answered without full rebuilds (a dirty-cell
+  patched grid), byte-identical to a from-scratch ``build_index``; bulk
+  queries are vectorised straight off the patched cell table.
 * :mod:`repro.dynamics.topology` — per-timestep UDG edge *diffs*
   (:class:`TopologyTracker`), so downstream metrics and the
   :class:`repro.distributed.repair.DistributedRepairEngine` consume deltas

@@ -11,8 +11,8 @@ and the churn regime.
 **S03** (:func:`experiment_s03_repair_fast_path`): the PR-4 repair fast
 paths.  Arm one times the vectorised
 :meth:`~repro.dynamics.incremental.DynamicSpatialIndex.query_radius_many`
-against the pre-optimisation scalar-per-center loop on a *dirty* index, on
-both backends, asserting byte equality.  Arm two times the diff-driven
+against the pre-optimisation scalar-per-center loop on a *dirty* index,
+asserting byte equality.  Arm two times the diff-driven
 :class:`~repro.distributed.repair.DistributedRepairEngine` against a full
 :func:`~repro.distributed.construct.distributed_build` per step under sparse
 motion (~1% of nodes per step), asserting the spliced result equals the
@@ -44,7 +44,7 @@ from repro.distributed.repair import DistributedRepairEngine
 from repro.dynamics.incremental import DynamicSpatialIndex
 from repro.dynamics.mobility import reflect_into
 from repro.dynamics.topology import TopologyTracker
-from repro.geometry.index import BACKENDS, build_index
+from repro.geometry.index import build_index
 from repro.geometry.poisson import poisson_points
 from repro.geometry.primitives import Rect
 from repro.runner.registry import register
@@ -135,7 +135,7 @@ def experiment_s02_incremental_maintenance(
     # arm's clock starts after its (un-timed) initial build — exactly as the
     # rebuild arm's clock covers only the per-step builds.
     def run_incremental() -> tuple[float, DynamicSpatialIndex]:
-        dyn = DynamicSpatialIndex(pts, radius=radius, backend="grid")
+        dyn = DynamicSpatialIndex(pts, radius=radius)
         started = time.perf_counter()
         for positions in trajectory[1:]:
             dyn.move(dyn.ids(), positions)
@@ -170,7 +170,7 @@ def experiment_s02_incremental_maintenance(
         alive_preview += churn_count - k
 
     def run_churn_incremental() -> float:
-        dyn = DynamicSpatialIndex(pts, radius=radius, backend="grid")
+        dyn = DynamicSpatialIndex(pts, radius=radius)
         started = time.perf_counter()
         for rows, arrivals in churn_plan:
             if len(rows):
@@ -256,8 +256,7 @@ def experiment_s03_repair_fast_path(
         Per-axis displacement rms of one move, as a fraction of ``radius``.
     churn_count:
         Deletes + inserts applied before the bulk arm so the measured index
-        is genuinely dirty (patched grid cells, populated kd-tree divergence
-        buffer).
+        is genuinely dirty (patched grid cells).
     radius:
         Query radius / UDG connection radius scale of the bulk arm.
     intensity:
@@ -286,7 +285,6 @@ def experiment_s03_repair_fast_path(
     pts = poisson_points(window, intensity, rng)
     null_headline = {
         "bulk_speedup_grid": None,
-        "bulk_speedup_kdtree": None,
         "repair_speedup_vs_rebuild": None,
         "bulk_results_agree": None,
         "repair_results_agree": None,
@@ -309,42 +307,37 @@ def experiment_s03_repair_fast_path(
     centers = window.sample_uniform(n_centers, rng)
     n_move = max(1, int(round(move_fraction * len(pts))))
     churn = min(churn_count, max(len(pts) - 2, 0))
-    bulk_agree = True
-    for backend in BACKENDS:
-        dyn = DynamicSpatialIndex(pts, radius=radius, backend=backend)
-        movers = np.sort(rng.choice(dyn.ids(), size=n_move, replace=False))
-        displaced = dyn.id_positions()[movers] + rng.normal(
-            0, move_scale * radius, size=(n_move, 2)
-        )
-        dyn.move(movers, reflect_into(displaced, window))
-        if churn:
-            dyn.delete(np.sort(rng.choice(dyn.ids(), size=churn, replace=False)))
-            dyn.insert(window.sample_uniform(churn, rng))
-        holder: Dict[str, List[np.ndarray]] = {}
+    dyn = DynamicSpatialIndex(pts, radius=radius)
+    movers = np.sort(rng.choice(dyn.ids(), size=n_move, replace=False))
+    displaced = dyn.id_positions()[movers] + rng.normal(0, move_scale * radius, size=(n_move, 2))
+    dyn.move(movers, reflect_into(displaced, window))
+    if churn:
+        dyn.delete(np.sort(rng.choice(dyn.ids(), size=churn, replace=False)))
+        dyn.insert(window.sample_uniform(churn, rng))
+    holder: Dict[str, List[np.ndarray]] = {}
 
-        def run_bulk() -> None:
-            holder["bulk"] = dyn.query_radius_many(centers, radius)
+    def run_bulk() -> None:
+        holder["bulk"] = dyn.query_radius_many(centers, radius)
 
-        def run_scalar() -> None:
-            holder["scalar"] = [dyn.query_radius(c, radius) for c in centers]
+    def run_scalar() -> None:
+        holder["scalar"] = [dyn.query_radius(c, radius) for c in centers]
 
-        bulk_s = _best_of(repeats, run_bulk)
-        scalar_s = _best_of(repeats, run_scalar)
-        agree = all(np.array_equal(a, b) for a, b in zip(holder["bulk"], holder["scalar"]))
-        bulk_agree = bulk_agree and agree
-        speedup = scalar_s / bulk_s if bulk_s > 0 else float("inf")
-        rows.append(
-            {
-                "arm": "bulk",
-                "backend": backend,
-                "n_centers": len(centers),
-                "bulk_ms": round(bulk_s * 1e3, 3),
-                "scalar_ms": round(scalar_s * 1e3, 3),
-                "speedup": round(speedup, 2),
-            }
-        )
-        headline[f"bulk_speedup_{backend}"] = round(speedup, 1)
-    headline["bulk_results_agree"] = bool(bulk_agree)
+    bulk_s = _best_of(repeats, run_bulk)
+    scalar_s = _best_of(repeats, run_scalar)
+    speedup = scalar_s / bulk_s if bulk_s > 0 else float("inf")
+    rows.append(
+        {
+            "arm": "bulk",
+            "n_centers": len(centers),
+            "bulk_ms": round(bulk_s * 1e3, 3),
+            "scalar_ms": round(scalar_s * 1e3, 3),
+            "speedup": round(speedup, 2),
+        }
+    )
+    headline["bulk_speedup_grid"] = round(speedup, 1)
+    headline["bulk_results_agree"] = all(
+        np.array_equal(a, b) for a, b in zip(holder["bulk"], holder["scalar"])
+    )
 
     # -- Arm two: repair engine vs distributed_build per step, sparse motion ----
     spec = UDGTileSpec.default()
@@ -427,7 +420,7 @@ def experiment_s03_repair_fast_path(
         notes=[
             "Wall-clock rows vary between reruns; only the agreement headlines are "
             "deterministic.  The bulk arm queries a dirty index (post moves + churn) "
-            "so both backends exercise their patched structures; the repair arm's "
+            "so the grid queries its patched cells; the repair arm's "
             "clock covers index moves + engine repair vs a full distributed_build "
             "per step under sparse motion.  The repair advantage grows with "
             "deployment size and shrinks as move_fraction approaches 1.  The tracker "

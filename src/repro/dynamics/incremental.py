@@ -7,40 +7,29 @@ row index at construction, then sequentially for arrivals), every query
 answers in id space, and the contract is exact equivalence: after any
 interleaving of :meth:`move` / :meth:`insert` / :meth:`delete`, every query
 returns byte-identically what a from-scratch rebuild over the surviving
-positions would return (property-tested over random update sequences on both
-backends).
+positions would return (property-tested over random update sequences
+against a from-scratch build on every static backend).
 
-Backends mirror the static layer:
+The structure is a **dirty-cell-patched grid.**  Cell membership lives in a
+hash map of sorted id arrays.  A move only touches the structure when the
+node actually crosses a cell boundary, and then only the affected cells are
+re-grouped (one vectorised pass over their pooled members); the untouched
+cells — almost all of them for small per-step displacements — are never
+visited.  Queries reuse the static :class:`~repro.geometry.index.GridIndex`
+cell geometry (exact keys, rational reach, boundary-slack guard rings) so the
+candidate superset, and therefore the exact result, is identical.
 
-* ``grid`` — **dirty-cell patching.**  Cell membership lives in a hash map of
-  sorted id arrays.  A move only touches the structure when the node actually
-  crosses a cell boundary, and then only the affected cells are re-grouped
-  (one vectorised pass over their pooled members); the untouched cells —
-  almost all of them for small per-step displacements — are never visited.
-  Queries reuse the static :class:`~repro.geometry.index.GridIndex` cell
-  geometry (exact keys, rational reach, boundary-slack guard rings) so the
-  candidate superset, and therefore the exact result, is identical.
-* ``kdtree`` — **rebuild-threshold fallback.**  cKDTrees cannot be patched,
-  so updates accumulate in a divergence buffer: moved/deleted ids are masked
-  out of base-tree answers and moved/inserted ids are checked exactly against
-  the shared closed-ball predicate.  When the buffer outgrows
-  ``rebuild_threshold`` × (alive nodes) the base tree is rebuilt and the
-  buffer resets.
-
-Bulk queries are vectorised on both backends (and :meth:`query_pairs` /
-:meth:`~DynamicSpatialIndex.neighbour_lists` ride them): the grid adopts its
+Bulk queries (and :meth:`query_pairs` /
+:meth:`~DynamicSpatialIndex.neighbour_lists`, which ride them) adopt the
 *patched* cell table into a :meth:`~repro.geometry.index.GridIndex.from_cell_table`
-view, so the static backend's one-gather ``_matches`` scheme answers every
-center at once straight off the incrementally maintained structure; the
-KD-tree backend answers the base tree in one parallel bulk pass and merges
-the divergence buffer through a second (tiny) index over just the diverged
-points.  Both are byte-identical to looping the scalar query per center —
-the S03 benchmark measures the gap (~an order of magnitude at large center
-counts).
+view, so the static grid's one-gather ``_matches`` scheme answers every
+center at once straight off the incrementally maintained structure,
+byte-identically to looping the scalar query per center — the S03 benchmark
+measures the gap (~an order of magnitude at large center counts).
 
-Both backends decide membership with the one shared
-:func:`~repro.geometry.index.within_ball` predicate, which is what makes the
-byte-identical contract possible at all.
+Membership is decided by the one shared
+:func:`~repro.geometry.index.within_ball` predicate of the static layer,
+which is what makes the byte-identical contract possible at all.
 """
 
 from __future__ import annotations
@@ -51,14 +40,7 @@ from typing import Dict, Iterable, List, Tuple
 import numpy as np
 
 from repro.distributed.network import invalidate_neighbour_cache
-from repro.geometry.index import (
-    BACKENDS,
-    GridIndex,
-    KDTreeIndex,
-    _canonical_pairs,
-    _flatten_lists,
-    within_ball,
-)
+from repro.geometry.index import GridIndex, _canonical_pairs, _flatten_lists, within_ball
 from repro.geometry.primitives import as_points
 from repro.kernels import ops as kernel_ops
 
@@ -71,16 +53,14 @@ _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 class DynamicIndexStats:
     """Maintenance accounting: what the incremental layer actually did.
 
-    ``cell_transfers`` counts grid nodes that crossed a cell boundary (the
-    only moves that touch the grid structure); ``rebuilds`` counts kd-tree
-    base rebuilds (the fallback the threshold is supposed to keep rare).
+    ``cell_transfers`` counts nodes that crossed a cell boundary (the only
+    moves that touch the grid structure).
     """
 
     moves: int = 0
     inserts: int = 0
     deletes: int = 0
     cell_transfers: int = 0
-    rebuilds: int = 0
 
 
 def _check_radius(radius: float) -> None:
@@ -96,15 +76,8 @@ class DynamicSpatialIndex:
     points:
         ``(n, 2)`` initial positions; node ids are the row indices.
     radius:
-        The query radius the index will mostly serve (grid cell size, as in
-        :func:`~repro.geometry.index.build_index`).
-    backend:
-        ``"grid"`` (dirty-cell patching) or ``"kdtree"`` (rebuild threshold).
-    cell_size:
-        Grid-only override of the cell size derived from ``radius``.
-    rebuild_threshold:
-        kd-tree-only: rebuild the base tree once the divergence buffer
-        exceeds this fraction of the alive population.
+        The query radius the index will mostly serve; it is the grid cell
+        size, as in :func:`~repro.geometry.index.build_index`.
 
     :meth:`positions` / :meth:`ids` return cached arrays that keep their
     identity until the active set changes, so identity-keyed caches above
@@ -114,25 +87,10 @@ class DynamicSpatialIndex:
     rewrites the cached coordinates in place.  Treat both as read-only.
     """
 
-    def __init__(
-        self,
-        points: np.ndarray,
-        radius: float | None = None,
-        backend: str = "grid",
-        cell_size: float | None = None,
-        rebuild_threshold: float = 0.25,
-    ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown spatial-index backend {backend!r}; known: {', '.join(BACKENDS)}"
-            )
-        if rebuild_threshold <= 0:
-            raise ValueError("rebuild_threshold must be positive")
+    def __init__(self, points: np.ndarray, radius: float | None = None) -> None:
         pts = as_points(points)
         if len(pts) and not np.isfinite(pts).all():
             raise ValueError("positions must be finite")
-        self.backend = backend
-        self.rebuild_threshold = float(rebuild_threshold)
         self.stats = DynamicIndexStats()
 
         n = len(pts)
@@ -148,37 +106,30 @@ class DynamicSpatialIndex:
         self._active_ids: np.ndarray | None = None
         self._compact: np.ndarray | None = None
 
-        if backend == "grid":
-            size = cell_size if cell_size is not None else radius
-            if size is None or size <= 0:
-                size = 1.0  # any cell size answers radius-0 queries
-            self.cell_size = float(size)
-            # Geometry-only helper: reuses the static backend's exact cell
-            # keys, rational reach and boundary-slack logic verbatim, so the
-            # candidate supersets (hence the exact results) cannot drift.
-            self._geom = GridIndex(np.zeros((0, 2)), cell_size=self.cell_size)
-            self._keys = np.zeros((capacity, 2), dtype=np.int64)
-            # Float mirror of the exact integer keys (exact below 2**53):
-            # lets a move detect "same cell, nothing to do" with one float
-            # comparison instead of re-running the exact-key repair.
-            self._keys_f = np.zeros((capacity, 2), dtype=np.float64)
-            self._mirror_exact = True
-            self._cells: Dict[Tuple[int, int], np.ndarray] = {}
-            # Lazily built GridIndex view over the patched cell table (the
-            # bulk-query engine); None = stale, False = key span overflowed
-            # the packed table and bulk queries fall back to the scalar loop.
-            self._bulk_view: GridIndex | None | bool = None
-            if n:
-                keys = self._checked_keys(pts)
-                self._keys[:n] = keys
-                self._keys_f[:n] = keys
-                if np.abs(keys).max() >= 2**53:
-                    self._mirror_exact = False
-                self._regroup_cells(drop=_EMPTY_IDS, add=np.arange(n, dtype=np.int64))
-        else:
-            self._exclude = np.zeros(capacity, dtype=bool)
-            self._delta = np.zeros(capacity, dtype=bool)
-            self._rebuild_base()
+        # Any cell size answers radius-0 queries.
+        self.cell_size = 1.0 if radius is None or radius <= 0 else float(radius)
+        # Geometry-only helper: reuses the static grid's exact cell keys,
+        # rational reach and boundary-slack logic verbatim, so the candidate
+        # supersets (hence the exact results) cannot drift.
+        self._geom = GridIndex(np.zeros((0, 2)), cell_size=self.cell_size)
+        self._keys = np.zeros((capacity, 2), dtype=np.int64)
+        # Float mirror of the exact integer keys (exact below 2**53): lets a
+        # move detect "same cell, nothing to do" with one float comparison
+        # instead of re-running the exact-key repair.
+        self._keys_f = np.zeros((capacity, 2), dtype=np.float64)
+        self._mirror_exact = True
+        self._cells: Dict[Tuple[int, int], np.ndarray] = {}
+        # Lazily built GridIndex view over the patched cell table (the
+        # bulk-query engine); None = stale, False = key span overflowed the
+        # packed table and bulk queries fall back to the scalar loop.
+        self._bulk_view: GridIndex | None | bool = None
+        if n:
+            keys = self._checked_keys(pts)
+            self._keys[:n] = keys
+            self._keys_f[:n] = keys
+            if np.abs(keys).max() >= 2**53:
+                self._mirror_exact = False
+            self._regroup_cells(drop=_EMPTY_IDS, add=np.arange(n, dtype=np.int64))
 
     # -- id / position accessors ------------------------------------------------
     def __len__(self) -> int:
@@ -258,11 +209,7 @@ class DynamicSpatialIndex:
         # When every node is alive and the caller moves all of them (the
         # mobility hot path), id arithmetic degenerates to whole-array slices.
         full = ids is self._active_ids and self._n_alive == self._size
-        if self.backend == "grid":
-            self._grid_move(ids, new, full)
-        else:
-            self._exclude[ids] = True
-            self._delta[ids] = True
+        self._grid_move(ids, new, full)
         if full:
             self._points[: self._size] = new
             self._dirty[: self._size] = True
@@ -278,8 +225,6 @@ class DynamicSpatialIndex:
             else:
                 self._compact[np.searchsorted(self.ids(), ids)] = new
             invalidate_neighbour_cache(self._compact)
-        if self.backend == "kdtree":
-            self._maybe_rebuild()
 
     def _grid_move(self, ids: np.ndarray, new: np.ndarray, full: bool = False) -> None:
         """Patch only the cells of nodes that actually crossed a boundary.
@@ -297,8 +242,8 @@ class DynamicSpatialIndex:
         max_key = np.abs(keys_f).max(initial=0.0)
         if not max_key < 2**62:
             raise ValueError(
-                "point spread spans too many grid cells for this cell_size; "
-                "use a larger cell_size or the 'kdtree' backend"
+                "point spread spans too many grid cells for this radius; "
+                "build the index with a larger radius"
             )
         old_keys_f = self._keys_f[: self._size] if full else self._keys_f[ids]
         if max_key >= 2**53 or not self._mirror_exact:
@@ -335,19 +280,14 @@ class DynamicSpatialIndex:
         self._dirty[new_ids] = True
         self._size += count
         self._n_alive += count
-        if self.backend == "grid":
-            keys = self._checked_keys(pts)
-            self._keys[new_ids] = keys
-            self._keys_f[new_ids] = keys
-            if np.abs(keys).max() >= 2**53:
-                self._mirror_exact = False
-            self._regroup_cells(drop=_EMPTY_IDS, add=new_ids, add_keys=keys)
-        else:
-            self._delta[new_ids] = True
+        keys = self._checked_keys(pts)
+        self._keys[new_ids] = keys
+        self._keys_f[new_ids] = keys
+        if np.abs(keys).max() >= 2**53:
+            self._mirror_exact = False
+        self._regroup_cells(drop=_EMPTY_IDS, add=new_ids, add_keys=keys)
         self.stats.inserts += count
         self._invalidate_compact()
-        if self.backend == "kdtree":
-            self._maybe_rebuild()
         return new_ids
 
     def delete(self, ids: Iterable[int]) -> None:
@@ -355,19 +295,13 @@ class DynamicSpatialIndex:
         ids = self._validate_ids(ids)
         if ids.size == 0:
             return
-        if self.backend == "grid":
-            self._regroup_cells(drop=ids, add=_EMPTY_IDS)
-        else:
-            self._exclude[ids] = True
-            self._delta[ids] = False
+        self._regroup_cells(drop=ids, add=_EMPTY_IDS)
         self._alive[ids] = False
         self._dirty[ids] = False
         self._n_alive -= len(ids)
         self._deleted_buffer.extend(int(i) for i in ids)
         self.stats.deletes += len(ids)
         self._invalidate_compact()
-        if self.backend == "kdtree":
-            self._maybe_rebuild()
 
     def consume_dirty(self) -> Tuple[np.ndarray, np.ndarray]:
         """Ids touched since the last call: ``(moved_or_inserted_alive, deleted)``.
@@ -393,27 +327,24 @@ class DynamicSpatialIndex:
         if need <= capacity:
             return
         new_capacity = max(need, 2 * capacity)
-        for name in ("_points", "_alive", "_dirty", "_keys", "_keys_f", "_exclude", "_delta"):
-            old = getattr(self, name, None)
-            if old is None:
-                continue
+        for name in ("_points", "_alive", "_dirty", "_keys", "_keys_f"):
+            old = getattr(self, name)
             shape = (new_capacity,) + old.shape[1:]
             grown = np.zeros(shape, dtype=old.dtype)
             grown[: self._size] = old[: self._size]
             setattr(self, name, grown)
-        if self.backend == "grid":
-            # The bulk view adopted the old coordinate buffer by reference.
-            self._bulk_view = None
+        # The bulk view adopted the old coordinate buffer by reference.
+        self._bulk_view = None
 
-    # -- grid backend -----------------------------------------------------------
+    # -- grid maintenance -------------------------------------------------------
     def _checked_keys(self, pts: np.ndarray) -> np.ndarray:
-        """Exact cell keys with the static backend's overflow guard."""
+        """Exact cell keys with the static grid's overflow guard."""
         quot = pts / self.cell_size
         keys_f = np.floor(quot)
         if len(pts) and (not np.isfinite(keys_f).all() or np.abs(keys_f).max() >= 2**62):
             raise ValueError(
-                "point spread spans too many grid cells for this cell_size; "
-                "use a larger cell_size or the 'kdtree' backend"
+                "point spread spans too many grid cells for this radius; "
+                "build the index with a larger radius"
             )
         return self._geom._exact_keys(pts, quot=quot)
 
@@ -507,7 +438,7 @@ class DynamicSpatialIndex:
         cells) and kept until the next membership change, so a stream of bulk
         queries between updates pays the flattening once.  ``None`` signals
         the packed-key span overflowed and callers must loop the scalar query
-        (the same regime in which a static build would refuse the backend).
+        (the same regime in which a static grid build refuses).
         """
         if self._bulk_view is None:
             keys = np.fromiter(
@@ -521,87 +452,22 @@ class DynamicSpatialIndex:
                 self._bulk_view = False
         return self._bulk_view or None
 
-    # -- kdtree backend ---------------------------------------------------------
-    def _rebuild_base(self) -> None:
-        self._base_ids = self.ids().copy()
-        self._base = KDTreeIndex(self._points[self._base_ids])
-        self._exclude[: self._size] = False
-        self._delta[: self._size] = False
-        self._delta_ids_cache: np.ndarray | None = _EMPTY_IDS
-        self._delta_index_cache: KDTreeIndex | None = None
-
-    def _maybe_rebuild(self) -> None:
-        self._delta_ids_cache = None
-        self._delta_index_cache = None
-        pending = int(np.count_nonzero(self._exclude[: self._size])) + int(
-            np.count_nonzero(self._delta[: self._size])
-        )
-        if pending > self.rebuild_threshold * max(1, self._n_alive):
-            self._rebuild_base()
-            self.stats.rebuilds += 1
-
-    def _delta_ids(self) -> np.ndarray:
-        if self._delta_ids_cache is None:
-            self._delta_ids_cache = np.nonzero(self._delta[: self._size])[0].astype(np.int64)
-        return self._delta_ids_cache
-
-    def _delta_index(self) -> KDTreeIndex:
-        """A (small) exact index over just the diverged points, for bulk merges."""
-        if self._delta_index_cache is None:
-            self._delta_index_cache = KDTreeIndex(self._points[self._delta_ids()])
-        return self._delta_index_cache
-
-    def _kdtree_query_one(self, center: np.ndarray, radius: float) -> np.ndarray:
-        hits = self._base.query_radius(center, radius)
-        ids = self._base_ids[hits]
-        if ids.size:
-            ids = ids[~self._exclude[ids]]
-        delta_ids = self._delta_ids()
-        if delta_ids.size:
-            inside = within_ball(self._points[delta_ids], center, radius)
-            ids = np.concatenate([ids, delta_ids[inside]])
-        return np.sort(ids)
-
     # -- queries (id space) -----------------------------------------------------
-    def _query_one(self, center: np.ndarray, radius: float) -> np.ndarray:
-        if self.backend == "grid":
-            return self._grid_query_one(center, radius)
-        return self._kdtree_query_one(center, radius)
-
     def query_radius(self, center: Iterable[float], radius: float) -> np.ndarray:
         """Ids of alive nodes within the exact closed ball, ascending."""
         _check_radius(radius)
         center = np.asarray(tuple(center), dtype=np.float64)
-        return self._query_one(center, radius)
-
-    def _kdtree_query_many(self, centers: np.ndarray, radius: float) -> List[np.ndarray]:
-        """Bulk base-tree pass with the divergence buffer merged per center."""
-        base_lists = self._base.query_radius_many(centers, radius)
-        delta_ids = self._delta_ids()
-        delta_lists = (
-            self._delta_index().query_radius_many(centers, radius) if delta_ids.size else None
-        )
-        any_excluded = bool(self._exclude[: self._size].any())
-        out = []
-        for i, hits in enumerate(base_lists):
-            ids = self._base_ids[hits]
-            if any_excluded and ids.size:
-                ids = ids[~self._exclude[ids]]
-            if delta_lists is not None and len(delta_lists[i]):
-                ids = np.concatenate([ids, delta_ids[delta_lists[i]]])
-            out.append(np.sort(ids))
-        return out
+        return self._grid_query_one(center, radius)
 
     def ball_matches(
         self, centers: np.ndarray, radius: float, self_join: bool = False
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Every (center row, alive id) pair within ``radius``: flat ``(owners, members)``, unordered.
 
-        The flat form the bulk queries and the topology tracker consume.  The
-        grid backend runs the static one-gather ``_matches`` engine over a
-        :meth:`~repro.geometry.index.GridIndex.from_cell_table` view of its
-        patched cell table; the KD-tree backend flattens its merged per-center
-        answers.  With ``self_join`` (the centers are the alive nodes, in
+        The flat form the bulk queries and the topology tracker consume: the
+        static one-gather ``_matches`` engine run over a
+        :meth:`~repro.geometry.index.GridIndex.from_cell_table` view of the
+        patched cell table.  With ``self_join`` (the centers are the alive nodes, in
         :meth:`ids` order) each unordered pair is guaranteed only once, in
         either orientation (see ``GridIndex._matches``).
         """
@@ -609,8 +475,6 @@ class DynamicSpatialIndex:
         centers = as_points(centers)
         if len(centers) == 0 or self._n_alive == 0:
             return _EMPTY_IDS.copy(), _EMPTY_IDS.copy()
-        if self.backend == "kdtree":
-            return _flatten_lists(self._kdtree_query_many(centers, radius))
         view = self._grid_view()
         if view is None:  # packed-key span overflow: scalar fallback
             return _flatten_lists([self._grid_query_one(c, radius) for c in centers])
@@ -619,11 +483,8 @@ class DynamicSpatialIndex:
     def query_radius_many(self, centers: np.ndarray, radius: float) -> List[np.ndarray]:
         """Per-center id arrays, vectorised (byte-identical to the scalar loop).
 
-        The grid backend groups :meth:`ball_matches` per center, with node ids
-        (bounded by the id high-water mark) as the minor sort key; the KD-tree
-        backend answers the base tree in one parallel bulk pass and merges the
-        divergence buffer through a second index over just the diverged
-        points.
+        Groups :meth:`ball_matches` per center, with node ids (bounded by the
+        id high-water mark) as the minor sort key.
         """
         _check_radius(radius)
         centers = as_points(centers)
@@ -631,8 +492,6 @@ class DynamicSpatialIndex:
             return []
         if self._n_alive == 0:
             return [_EMPTY_IDS.copy() for _ in range(len(centers))]
-        if self.backend == "kdtree":
-            return self._kdtree_query_many(centers, radius)
         owners, members = self.ball_matches(centers, radius)
         return kernel_ops.pair_candidates(owners, members, len(centers), self._size)
 
@@ -642,20 +501,8 @@ class DynamicSpatialIndex:
         centers = as_points(centers)
         if len(centers) == 0 or self._n_alive == 0:
             return np.zeros(len(centers), dtype=np.int64)
-        if self.backend == "grid":
-            owners, _ = self.ball_matches(centers, radius)
-            return kernel_ops.count_in_balls(owners, len(centers))
-        if self._exclude[: self._size].any():
-            # Exclusion masking needs the materialised base hits anyway.
-            return np.fromiter(
-                (len(a) for a in self._kdtree_query_many(centers, radius)),
-                dtype=np.int64,
-                count=len(centers),
-            )
-        counts = self._base.count_radius_many(centers, radius)
-        if self._delta_ids().size:
-            counts = counts + self._delta_index().count_radius_many(centers, radius)
-        return counts
+        owners, _ = self.ball_matches(centers, radius)
+        return kernel_ops.count_in_balls(owners, len(centers))
 
     def neighbours_of(self, node_id: int, radius: float) -> np.ndarray:
         """Ids within ``radius`` of the alive node ``node_id`` (self excluded)."""

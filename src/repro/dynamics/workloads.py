@@ -139,7 +139,6 @@ def experiment_m01_mobility(
     n_steps: int = 30,
     dt: float = 1.0,
     n_pairs: int = 24,
-    backend: str = "grid",
     seed: int = 301,
 ) -> ExperimentResult:
     """Mobility: incremental topology churn and stretch over time.
@@ -160,8 +159,6 @@ def experiment_m01_mobility(
         Number of timeline steps and the step length.
     n_pairs:
         Stretch sample pairs per step.
-    backend:
-        Spatial-index backend of the dynamic index.
     seed:
         Seed; deployment, mobility and pair sampling draw from independent
         child streams.
@@ -193,7 +190,7 @@ def experiment_m01_mobility(
         )
 
     mobility = _make_model(model, pts, window, speed, rng_model)
-    index = DynamicSpatialIndex(pts, radius=radius, backend=backend)
+    index = DynamicSpatialIndex(pts, radius=radius)
     tracker = TopologyTracker(index, radius)
     rows: List[Dict] = []
     stretch_means: List[float] = []
@@ -240,7 +237,7 @@ def experiment_m01_mobility(
         },
         notes=[
             f"{len(pts)} nodes, model={model}, incremental UDG maintenance on the "
-            f"{backend!r} backend; stretch sampled over pairs at Euclidean "
+            "patched grid index; stretch sampled over pairs at Euclidean "
             f"distance >= 2*radius inside the largest component.",
         ],
     )
@@ -258,7 +255,6 @@ def experiment_m02_mobile_distributed_build(
     churn_count: int = 1,
     n_steps: int = 20,
     dt: float = 1.0,
-    backend: str = "grid",
     seed: int = 306,
 ) -> ExperimentResult:
     """Mobile distributed build: diff-driven overlay repair over time.
@@ -281,8 +277,6 @@ def experiment_m02_mobile_distributed_build(
         Nodes failing + arriving per step (0 disables churn).
     n_steps, dt:
         Number of timeline steps and the step length.
-    backend:
-        Spatial-index backend of the dynamic index.
     seed:
         Seed; deployment and motion/churn draw from independent child streams.
     """
@@ -315,7 +309,7 @@ def experiment_m02_mobile_distributed_build(
             notes=[f"degenerate deployment ({len(pts)} nodes); nothing to measure"],
         )
 
-    index = DynamicSpatialIndex(pts, radius=radius, backend=backend)
+    index = DynamicSpatialIndex(pts, radius=radius)
     tracker = TopologyTracker(index, radius)
     engine = DistributedRepairEngine(index, spec, window)
     initial_messages = engine.stats.messages_sent
@@ -413,7 +407,6 @@ def experiment_f01_failure(
     observe_every: float = 3.0,
     n_events: int = 400,
     coverage_target: float = 0.9,
-    backend: str = "grid",
     seed: int = 302,
 ) -> ExperimentResult:
     """Node failure: coverage and connectivity decay over time.
@@ -437,8 +430,6 @@ def experiment_f01_failure(
         successive observations measure decay on the same event set).
     coverage_target:
         Threshold for the time-to-coverage-loss headline.
-    backend:
-        Spatial-index backend of the dynamic index.
     seed:
         Seed; deployment, churn and events draw from independent streams.
     """
@@ -473,7 +464,7 @@ def experiment_f01_failure(
     churn = LifetimeChurn(mean_lifetime)
     lifetimes = churn.failure_times(len(pts), rng_churn)
     events = window.sample_uniform(n_events, rng_events)
-    index = DynamicSpatialIndex(pts, radius=radius, backend=backend)
+    index = DynamicSpatialIndex(pts, radius=radius)
     tracker = TopologyTracker(index, radius)
 
     rows: List[Dict] = []

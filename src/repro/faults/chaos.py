@@ -325,7 +325,6 @@ def chaos_serve_storm(
     kill_rate: float = 0.3,
     client_rate: float = 0.3,
     max_attempts: int = 6,
-    backend: str = "grid",
     plan: Optional[FaultPlan] = None,
 ) -> ChaosReport:
     """Kill/reconnect storm against the serve session.
@@ -365,7 +364,7 @@ def chaos_serve_storm(
         ticks.append(batch)
 
     # -- fault-free reference -------------------------------------------------
-    ref_world = LiveWorld(positions.copy(), WorldConfig(backend=backend))
+    ref_world = LiveWorld(positions.copy(), WorldConfig())
     ref_session = ServeSession(ref_world)
     ref_replies: List[List[str]] = []
     for batch in ticks:
@@ -388,7 +387,7 @@ def chaos_serve_storm(
         )
     injector = FaultInjector(plan)
     snap_store = workdir / f"serve-chaos-{seed}"
-    world = LiveWorld(positions.copy(), WorldConfig(backend=backend))
+    world = LiveWorld(positions.copy(), WorldConfig())
     session = ServeSession(world, snapshot_store=snap_store, injector=injector)
     save_snapshot(snap_store, world)  # seq-0 baseline: even a first-tick kill restores
     kills = 0

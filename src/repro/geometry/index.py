@@ -570,32 +570,16 @@ class GridIndex(_IndexBase):
     def query_radius(self, center: Iterable[float], radius: float) -> np.ndarray:
         """Indices of points within ``radius`` of ``center`` (exact closed ball).
 
-        Scans the minimal block of cells that can contain qualifying points
-        and filters with :func:`within_ball` (exact true-distance closed
-        ball, no tolerance) — the same predicate :class:`KDTreeIndex`
-        applies, so the distributed simulator and the centralized builder
-        agree on every boundary pair.  At ``radius == 0`` only exactly
-        coincident points qualify.
+        The one-center case of :meth:`query_radius_many`: the same stencil
+        gather and the same :func:`within_ball` decision (exact true-distance
+        closed ball, no tolerance) that :class:`KDTreeIndex` applies, so the
+        distributed simulator and the centralized builder agree on every
+        boundary pair.  At ``radius == 0`` only exactly coincident points
+        qualify.
         """
         _check_radius(radius)
-        if len(self) == 0:
-            return np.zeros(0, dtype=np.int64)
         cx, cy = center
-        reach = self._reach(radius)
-        coords = np.array([[float(cx), float(cy)]], dtype=np.float64)
-        key = self._exact_keys(coords)
-        base = (int(key[0, 0]), int(key[0, 1]))
-        lo, hi = self._boundary_slack(coords, key, radius)
-        parts = [
-            self._cell_slice(base[0] + dx, base[1] + dy)
-            for dx in range(-reach - int(lo[0, 0]), reach + int(hi[0, 0]) + 1)
-            for dy in range(-reach - int(lo[0, 1]), reach + int(hi[0, 1]) + 1)
-        ]
-        idx = np.concatenate(parts)
-        if idx.size == 0:
-            return idx
-        keep = within_ball(self.points[idx], np.asarray([cx, cy], dtype=np.float64), radius)
-        return np.sort(idx[keep])
+        return self.query_radius_many(np.array([[float(cx), float(cy)]]), radius)[0]
 
     # -- bulk queries -------------------------------------------------------------
     def _matches(

@@ -8,8 +8,7 @@
 * :mod:`repro.routing.overlay` — lift mesh routes onto the SENS overlay
   (representatives act as lattice sites, relays realise the edges) and
   account for hops, Euclidean length and transmit power.
-* :mod:`repro.routing.baselines` — greedy geographic forwarding and the
-  shortest-path reference used for comparison.
+* :mod:`repro.routing.baselines` — the global shortest-path reference.
 """
 
 from repro._exports import lazy_exports
@@ -19,14 +18,12 @@ __all__ = [
     "route_xy_mesh",
     "OverlayRouteResult",
     "route_on_overlay",
-    "greedy_geographic_route",
     "shortest_path_route",
     "GreedyRouteResult",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.routing.baselines": (
-        "greedy_geographic_route",
         "shortest_path_route",
         "GreedyRouteResult",
     ),

@@ -1,11 +1,8 @@
-"""Baseline routing strategies used for comparison in experiment E07/E08.
+"""The shortest-path routing reference.
 
-* :func:`greedy_geographic_route` — classic greedy geographic forwarding on a
-  geometric graph: always forward to the neighbour closest to the target;
-  fails at a local minimum (no neighbour is closer than the current node).
-  This is what an unstructured WASN would do without the overlay.
 * :func:`shortest_path_route` — the global shortest path (hops or Euclidean),
-  the unattainable-with-local-information reference.
+  the unattainable-with-local-information reference, reported as a
+  :class:`GreedyRouteResult`.
 """
 
 from __future__ import annotations
@@ -18,12 +15,12 @@ import numpy as np
 
 from repro.graphs.base import GeometricGraph
 
-__all__ = ["GreedyRouteResult", "greedy_geographic_route", "shortest_path_route"]
+__all__ = ["GreedyRouteResult", "shortest_path_route"]
 
 
 @dataclass
 class GreedyRouteResult:
-    """Outcome of greedy geographic forwarding.
+    """Outcome of one routed source/target pair.
 
     Attributes
     ----------
@@ -31,7 +28,7 @@ class GreedyRouteResult:
     path: node indices visited (source first).
     hops: number of edges traversed.
     euclidean_length: total length of the traversed edges.
-    stuck_at: the local-minimum node when the route failed (``None`` on success).
+    stuck_at: the node the route ended at when it failed (``None`` on success).
     """
 
     success: bool
@@ -41,49 +38,12 @@ class GreedyRouteResult:
     stuck_at: int | None
 
 
-def greedy_geographic_route(
-    graph: GeometricGraph, source: int, target: int, max_hops: int | None = None
-) -> GreedyRouteResult:
-    """Greedy geographic forwarding from ``source`` to ``target``.
-
-    Each step moves to the neighbour strictly closest to the target; the route
-    fails when no neighbour improves on the current distance (a "void" /
-    local minimum) or when ``max_hops`` is exceeded.
-    """
-    n = graph.n_nodes
-    if not (0 <= source < n and 0 <= target < n):
-        raise ValueError("source/target out of range")
-    if max_hops is None:
-        max_hops = 4 * n
-    pts = graph.points
-    path = [int(source)]
-    length = 0.0
-    curr = int(source)
-    hops = 0
-    while curr != target and hops < max_hops:
-        nbrs = graph.neighbours(curr)
-        if nbrs.size == 0:
-            return GreedyRouteResult(False, path, hops, length, curr)
-        d_curr = float(np.linalg.norm(pts[curr] - pts[target]))
-        d_nbrs = np.linalg.norm(pts[nbrs] - pts[target], axis=1)
-        best = int(np.argmin(d_nbrs))
-        if d_nbrs[best] >= d_curr - 1e-12:
-            return GreedyRouteResult(False, path, hops, length, curr)
-        nxt = int(nbrs[best])
-        length += float(np.linalg.norm(pts[curr] - pts[nxt]))
-        curr = nxt
-        path.append(curr)
-        hops += 1
-    return GreedyRouteResult(curr == target, path, hops, length, None if curr == target else curr)
-
-
 def shortest_path_route(
     graph: GeometricGraph, source: int, target: int, weighted: bool = True
 ) -> GreedyRouteResult:
     """Global shortest path between two nodes (Euclidean-weighted or hop count).
 
-    Returns a :class:`GreedyRouteResult` for interface uniformity with the
-    greedy baseline; ``success`` is ``False`` when the nodes are disconnected.
+    ``success`` is ``False`` when the nodes are disconnected.
     """
     g = graph.to_networkx()
     try:

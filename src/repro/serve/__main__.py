@@ -56,12 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     world.add_argument(
         "--radius", type=float, default=None, help="UDG connection radius (default: tile spec)"
     )
-    world.add_argument(
-        "--backend",
-        choices=("grid", "kdtree"),
-        default="grid",
-        help="dynamic spatial index backend",
-    )
     daemon = parser.add_argument_group("daemon")
     daemon.add_argument(
         "--tick-interval",
@@ -100,7 +94,6 @@ def build_world(args: argparse.Namespace) -> LiveWorld:
         window_xmax=xmax,
         window_ymax=ymax,
         radius=args.radius,
-        backend=args.backend,
     )
     rng = np.random.default_rng(args.seed)
     positions = np.column_stack(

@@ -164,7 +164,6 @@ def experiment_s05_serve(
     n_ticks: int = 40,
     events_per_tick: int = 60,
     side: float = 15.0,
-    backend: str = "grid",
     move_fraction: float = 0.8,
     duplicate_fraction: float = 0.15,
     empty_tick_every: int = 7,
@@ -180,9 +179,6 @@ def experiment_s05_serve(
     n_ticks, events_per_tick:
         Storm shape; every ``empty_tick_every``-th tick is empty (the no-op
         path must stay a no-op under measurement too).
-    backend:
-        Dynamic index backend for the *served* world; the sequential
-        reference always runs the same backend.
     queries_per_tick:
         Neighbours/route/digest queries issued between ticks (the query
         arm).
@@ -195,7 +191,7 @@ def experiment_s05_serve(
         raise ValueError("n_ticks and events_per_tick must be positive")
     rng = np.random.default_rng(seed)
     initial = rng.uniform(0.0, side, size=(n_nodes, 2))
-    config = WorldConfig(window_xmax=float(side), window_ymax=float(side), backend=backend)
+    config = WorldConfig(window_xmax=float(side), window_ymax=float(side))
     ticks = generate_storm(
         n_nodes,
         n_ticks,

@@ -59,10 +59,11 @@ _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 class WorldConfig:
     """The served deployment's fixed parameters.
 
-    ``radius`` is the UDG connection radius (default: the tile spec's);
-    ``backend`` selects the dynamic index implementation; the window bounds
-    define the overlay tiling.  The config travels inside snapshots so a
-    restore cannot silently change the world's geometry.
+    ``radius`` is the UDG connection radius (default: the tile spec's); the
+    window bounds define the overlay tiling.  The config travels inside
+    snapshots so a restore cannot silently change the world's geometry.  The
+    payload keeps a ``"backend": "grid"`` entry because recorded snapshots
+    and world digests hash it; a payload naming any other index is refused.
     """
 
     window_xmin: float = 0.0
@@ -70,7 +71,6 @@ class WorldConfig:
     window_xmax: float = 15.0
     window_ymax: float = 15.0
     radius: Optional[float] = None
-    backend: str = "grid"
 
     @property
     def window(self) -> Rect:
@@ -84,11 +84,14 @@ class WorldConfig:
         return {
             "window": [self.window_xmin, self.window_ymin, self.window_xmax, self.window_ymax],
             "radius": self.radius,
-            "backend": self.backend,
+            "backend": "grid",
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "WorldConfig":
+        backend = payload.get("backend", "grid")
+        if backend != "grid":
+            raise ValueError(f"unsupported dynamic index backend {backend!r}; only 'grid' exists")
         xmin, ymin, xmax, ymax = (float(v) for v in payload["window"])
         radius = payload.get("radius")
         return cls(
@@ -97,7 +100,6 @@ class WorldConfig:
             window_xmax=xmax,
             window_ymax=ymax,
             radius=float(radius) if radius is not None else None,
-            backend=str(payload.get("backend", "grid")),
         )
 
 
@@ -145,7 +147,7 @@ class LiveWorld:
     positions:
         Initial ``(n, 2)`` deployment; node ids are the row indices.
     config:
-        Window, radius and backend (see :class:`WorldConfig`).
+        Window and radius (see :class:`WorldConfig`).
     applied_seq:
         The event sequence number already reflected in ``positions`` (used
         by :meth:`from_state`; fresh worlds start at 0).
@@ -161,9 +163,7 @@ class LiveWorld:
         self.config = config
         self.spec = UDGTileSpec.default()
         self.applied_seq = int(applied_seq)
-        self.index = DynamicSpatialIndex(
-            pts, radius=config.udg_radius, backend=config.backend
-        )
+        self.index = DynamicSpatialIndex(pts, radius=config.udg_radius)
         self.tracker = TopologyTracker(self.index, config.udg_radius)
         self.engine = DistributedRepairEngine(self.index, self.spec, config.window)
         self._route_overlay: Optional[DistributedBuildResult] = None
@@ -359,9 +359,7 @@ class LiveWorld:
         world.config = config
         world.spec = UDGTileSpec.default()
         world.applied_seq = int(state["seq"])
-        world.index = DynamicSpatialIndex(
-            pts, radius=config.udg_radius, backend=config.backend
-        )
+        world.index = DynamicSpatialIndex(pts, radius=config.udg_radius)
         dead = np.setdiff1d(np.arange(n_rows, dtype=np.int64), alive, assume_unique=True)
         if len(dead):
             world.index.delete(dead)

@@ -2,7 +2,8 @@
 
 The acceptance contract: after ANY interleaving of moves, inserts and
 deletes, every query answers byte-identically to a from-scratch
-``build_index`` over the surviving positions, on both backends.
+``build_index`` over the surviving positions, whichever static backend
+builds that reference.
 """
 
 from hypothesis import given, settings
@@ -27,10 +28,16 @@ operation = st.one_of(
 )
 
 
-def _assert_matches_rebuild(dyn: DynamicSpatialIndex, radius: float, centers) -> None:
-    """Every query surface must equal the compacted rebuild, id-mapped."""
+def _assert_matches_rebuild(
+    dyn: DynamicSpatialIndex, radius: float, centers, backend: str
+) -> None:
+    """Every query surface must equal the compacted rebuild, id-mapped.
+
+    ``backend`` picks the static reference index: ``kdtree`` crosses
+    implementations, ``grid`` pins the shared cell geometry.
+    """
     ids = dyn.ids()
-    rebuilt = build_index(dyn.positions(), radius=radius, backend=dyn.backend)
+    rebuilt = build_index(dyn.positions(), radius=radius, backend=backend)
     many = dyn.query_radius_many(centers, radius)
     ref_many = rebuilt.query_radius_many(centers, radius)
     assert len(many) == len(ref_many)
@@ -50,10 +57,7 @@ class TestRebuildEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_random_update_interleavings_match_rebuild(self, backend, points, ops):
         pts = np.asarray(points, dtype=np.float64).reshape(len(points), 2)
-        # Low threshold so delete/insert sequences actually cross it.
-        dyn = DynamicSpatialIndex(
-            pts, radius=RADIUS, backend=backend, rebuild_threshold=0.3
-        )
+        dyn = DynamicSpatialIndex(pts, radius=RADIUS)
         centers = np.array([[0.25, -0.25], [4.0, 4.0]])
         for op, raw_id, xy in ops:
             alive = dyn.ids()
@@ -66,12 +70,12 @@ class TestRebuildEquivalence:
                 else:
                     dyn.delete([node])
             query_points = np.vstack([centers, dyn.positions()]) if len(dyn) else centers
-            _assert_matches_rebuild(dyn, RADIUS, query_points)
+            _assert_matches_rebuild(dyn, RADIUS, query_points, backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_long_random_session_with_bulk_updates(self, backend, rng):
         pts = rng.uniform(0, 12, size=(150, 2))
-        dyn = DynamicSpatialIndex(pts, radius=RADIUS, backend=backend)
+        dyn = DynamicSpatialIndex(pts, radius=RADIUS)
         for step in range(12):
             ids = dyn.ids()
             movers = rng.choice(ids, size=min(30, len(ids)), replace=False)
@@ -82,26 +86,26 @@ class TestRebuildEquivalence:
             if step % 4 == 1:
                 dyn.delete(rng.choice(dyn.ids(), size=5, replace=False))
             for radius in (0.0, 0.5, RADIUS, 3.7):
-                _assert_matches_rebuild(dyn, radius, dyn.positions()[:20])
+                _assert_matches_rebuild(dyn, radius, dyn.positions()[:20], backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_move_everything_fast_path(self, backend, rng):
         pts = rng.uniform(0, 10, size=(80, 2))
-        dyn = DynamicSpatialIndex(pts, radius=RADIUS, backend=backend)
+        dyn = DynamicSpatialIndex(pts, radius=RADIUS)
         for _ in range(5):
             dyn.move(dyn.ids(), dyn.positions() + rng.normal(0, 0.2, size=pts.shape))
-            _assert_matches_rebuild(dyn, RADIUS, dyn.positions())
+            _assert_matches_rebuild(dyn, RADIUS, dyn.positions(), backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_start_empty_grow_then_shrink(self, backend, rng):
-        dyn = DynamicSpatialIndex(np.zeros((0, 2)), radius=RADIUS, backend=backend)
+        dyn = DynamicSpatialIndex(np.zeros((0, 2)), radius=RADIUS)
         assert len(dyn) == 0
         assert dyn.query_radius((0, 0), RADIUS).size == 0
         first = dyn.insert(rng.uniform(0, 5, size=(30, 2)))
         assert np.array_equal(first, np.arange(30))
-        _assert_matches_rebuild(dyn, RADIUS, dyn.positions())
+        _assert_matches_rebuild(dyn, RADIUS, dyn.positions(), backend)
         dyn.delete(first[:25])
-        _assert_matches_rebuild(dyn, RADIUS, dyn.positions())
+        _assert_matches_rebuild(dyn, RADIUS, dyn.positions(), backend)
         dyn.delete(dyn.ids())
         assert len(dyn) == 0
         assert dyn.query_pairs(RADIUS).shape == (0, 2)
@@ -139,12 +143,6 @@ class TestIdSemantics:
         dyn.delete([1])
         with pytest.raises(ValueError):
             dyn.delete([1])  # already dead
-
-    def test_unknown_backend_and_bad_threshold_rejected(self):
-        with pytest.raises(ValueError, match="unknown spatial-index backend"):
-            DynamicSpatialIndex(np.zeros((1, 2)), radius=1.0, backend="rtree")
-        with pytest.raises(ValueError):
-            DynamicSpatialIndex(np.zeros((1, 2)), radius=1.0, rebuild_threshold=0.0)
 
 
 class TestDirtyTracking:
@@ -199,23 +197,15 @@ class TestCaching:
 class TestMaintenanceStats:
     def test_grid_counts_cell_transfers_only_for_crossers(self, rng):
         pts = np.array([[0.5, 0.5], [2.5, 2.5]])
-        dyn = DynamicSpatialIndex(pts, radius=1.0, backend="grid")
+        dyn = DynamicSpatialIndex(pts, radius=1.0)
         dyn.move([0], np.array([[0.6, 0.6]]))  # same cell
         assert dyn.stats.cell_transfers == 0
         dyn.move([0], np.array([[1.5, 0.5]]))  # crosses in x
         assert dyn.stats.cell_transfers == 1
         assert dyn.stats.moves == 2
 
-    def test_kdtree_rebuild_threshold_triggers(self, rng):
-        pts = rng.uniform(0, 5, size=(20, 2))
-        dyn = DynamicSpatialIndex(pts, radius=1.0, backend="kdtree", rebuild_threshold=0.2)
-        for i in range(5):
-            dyn.move([i], rng.uniform(0, 5, size=(1, 2)))
-        assert dyn.stats.rebuilds >= 1
-        _assert_matches_rebuild(dyn, 1.0, dyn.positions())
-
     def test_grid_overflow_guard_matches_static_backend(self):
-        dyn = DynamicSpatialIndex(np.array([[0.0, 0.0]]), radius=1.0, cell_size=1e-13)
+        dyn = DynamicSpatialIndex(np.array([[0.0, 0.0]]), radius=1e-13)
         with pytest.raises(ValueError, match="too many grid cells"):
             dyn.insert(np.array([[1e6, 0.0]]))
         with pytest.raises(ValueError, match="too many grid cells"):

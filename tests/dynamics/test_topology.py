@@ -5,7 +5,7 @@ import pytest
 
 from repro.dynamics.incremental import DynamicSpatialIndex
 from repro.dynamics.topology import EdgeDiff, TopologyTracker, _decode, _encode
-from repro.geometry.index import BACKENDS
+from repro.geometry.index import BACKENDS, build_index
 from repro.graphs.udg import udg_edges
 
 RADIUS = 1.2
@@ -24,10 +24,10 @@ class TestTopologyTracker:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_diffs_replay_to_full_recompute(self, backend, rng):
         pts = rng.uniform(0, 8, size=(80, 2))
-        dyn = DynamicSpatialIndex(pts, radius=RADIUS, backend=backend)
+        dyn = DynamicSpatialIndex(pts, radius=RADIUS)
         tracker = TopologyTracker(dyn, RADIUS)
         replayed = _edge_set(tracker.edges())
-        assert replayed == _edge_set(udg_edges(pts, RADIUS))
+        assert replayed == _edge_set(udg_edges(pts, RADIUS, backend=backend))
         for step in range(10):
             ids = dyn.ids()
             movers = rng.choice(ids, size=min(15, len(ids)), replace=False)
@@ -45,7 +45,8 @@ class TestTopologyTracker:
             assert tracker.matches_recompute()
             ids = dyn.ids()
             expected = {
-                (int(ids[a]), int(ids[b])) for a, b in udg_edges(dyn.positions(), RADIUS)
+                (int(ids[a]), int(ids[b]))
+                for a, b in udg_edges(dyn.positions(), RADIUS, backend=backend)
             }
             assert replayed == expected
 
@@ -105,19 +106,21 @@ class TestTopologyTracker:
             TopologyTracker(dyn, -1.0)
 
 
-def _recomputed_keys(dyn: DynamicSpatialIndex, radius: float) -> np.ndarray:
+def _recomputed_keys(dyn: DynamicSpatialIndex, radius: float, backend: str) -> np.ndarray:
+    """The UDG edge keys of a from-scratch static ``backend`` index, in id space."""
     if radius == 0:
         return np.zeros(0, dtype=np.int64)
-    return _encode(dyn.query_pairs(radius))
+    pairs = build_index(dyn.positions(), radius=radius, backend=backend).query_pairs(radius)
+    return _encode(dyn.ids()[pairs])
 
 
-def _tick(tracker: TopologyTracker, mutate) -> EdgeDiff:
+def _tick(tracker: TopologyTracker, mutate, backend: str) -> EdgeDiff:
     """Apply ``mutate`` to the index, update, and check the tick array for array."""
     dyn, radius = tracker.index, tracker.radius
-    before = _recomputed_keys(dyn, radius)
+    before = _recomputed_keys(dyn, radius, backend)
     mutate(dyn)
     diff = tracker.update()
-    after = _recomputed_keys(dyn, radius)
+    after = _recomputed_keys(dyn, radius, backend)
     assert np.array_equal(diff.added, _decode(np.setdiff1d(after, before)))
     assert np.array_equal(diff.removed, _decode(np.setdiff1d(before, after)))
     assert diff.added.dtype == diff.removed.dtype == np.int64
@@ -132,7 +135,7 @@ class TestTopologyTrackerBytes:
     """Every diff, edge count and edge array equals a from-scratch recompute."""
 
     def test_move_insert_delete_ticks(self, backend, rng):
-        dyn = DynamicSpatialIndex(rng.uniform(0, 8, size=(120, 2)), radius=RADIUS, backend=backend)
+        dyn = DynamicSpatialIndex(rng.uniform(0, 8, size=(120, 2)), radius=RADIUS)
         tracker = TopologyTracker(dyn, RADIUS)
 
         def move(d):
@@ -146,44 +149,44 @@ class TestTopologyTrackerBytes:
             d.delete(rng.choice(d.ids(), size=5, replace=False))
 
         for mutate in (move, insert, delete) * 4:
-            _tick(tracker, mutate)
-        _tick(tracker, lambda d: (move(d), insert(d), delete(d)))
+            _tick(tracker, mutate, backend)
+        _tick(tracker, lambda d: (move(d), insert(d), delete(d)), backend)
 
     def test_two_adjacent_dirty_nodes_in_one_tick(self, backend):
         pts = np.array([[0.0, 0.0], [0.5, 0.0], [1.2, 0.0], [5.0, 5.0]])
-        tracker = TopologyTracker(DynamicSpatialIndex(pts, radius=1.0, backend=backend), 1.0)
+        tracker = TopologyTracker(DynamicSpatialIndex(pts, radius=1.0), 1.0)
         # Nodes 0 and 1 stay adjacent to each other, 1 leaves 2, and both meet
         # 3 (node 1 exactly on the closed ball's boundary).
-        diff = _tick(tracker, lambda d: d.move([0, 1], np.array([[4.5, 5.0], [4.0, 5.0]])))
+        diff = _tick(tracker, lambda d: d.move([0, 1], np.array([[4.5, 5.0], [4.0, 5.0]])), backend)
         assert diff.added.tolist() == [[0, 3], [1, 3]]
         assert diff.removed.tolist() == [[1, 2]]
 
     def test_delete_isolated_node(self, backend):
         pts = np.array([[0.0, 0.0], [0.5, 0.0], [9.0, 9.0]])
-        tracker = TopologyTracker(DynamicSpatialIndex(pts, radius=1.0, backend=backend), 1.0)
-        assert _tick(tracker, lambda d: d.delete([2])).churn == 0
+        tracker = TopologyTracker(DynamicSpatialIndex(pts, radius=1.0), 1.0)
+        assert _tick(tracker, lambda d: d.delete([2]), backend).churn == 0
 
     def test_delete_everything_then_insert_again(self, backend, rng):
-        dyn = DynamicSpatialIndex(rng.uniform(0, 4, size=(40, 2)), radius=RADIUS, backend=backend)
+        dyn = DynamicSpatialIndex(rng.uniform(0, 4, size=(40, 2)), radius=RADIUS)
         tracker = TopologyTracker(dyn, RADIUS)
         n_before = tracker.n_edges
-        diff = _tick(tracker, lambda d: d.delete(d.ids()))
+        diff = _tick(tracker, lambda d: d.delete(d.ids()), backend)
         assert diff.n_removed == n_before and tracker.n_edges == 0
-        _tick(tracker, lambda d: d.insert(rng.uniform(0, 4, size=(30, 2))))
+        _tick(tracker, lambda d: d.insert(rng.uniform(0, 4, size=(30, 2))), backend)
         assert tracker.n_edges > 0
 
     def test_radius_zero(self, backend):
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
-        tracker = TopologyTracker(DynamicSpatialIndex(pts, radius=0.0, backend=backend), 0.0)
-        _tick(tracker, lambda d: d.move([2], np.array([[1.0, 1.0]])))
-        _tick(tracker, lambda d: d.insert(np.array([[1.0, 1.0]])))
+        tracker = TopologyTracker(DynamicSpatialIndex(pts, radius=0.0), 0.0)
+        _tick(tracker, lambda d: d.move([2], np.array([[1.0, 1.0]])), backend)
+        _tick(tracker, lambda d: d.insert(np.array([[1.0, 1.0]])), backend)
         assert tracker.n_edges == 0
 
     def test_empty_tick(self, backend, rng):
-        dyn = DynamicSpatialIndex(rng.uniform(0, 5, size=(30, 2)), radius=RADIUS, backend=backend)
+        dyn = DynamicSpatialIndex(rng.uniform(0, 5, size=(30, 2)), radius=RADIUS)
         tracker = TopologyTracker(dyn, RADIUS)
         edges = tracker.edges()
-        assert _tick(tracker, lambda d: None).churn == 0
+        assert _tick(tracker, lambda d: None, backend).churn == 0
         assert np.array_equal(tracker.edges(), edges)
 
 
@@ -191,14 +194,16 @@ class TestTopologyTrackerBytes:
 def test_tracker_neighbours_equal_index_ball_queries_over_a_storm(backend):
     """Each alive node's slice of the directed store is its closed-ball query, every tick.
 
-    Half the moves land on a quarter-unit lattice (exact in binary), so the
-    storm keeps producing coincident points and pairs exactly ``r`` apart.
+    The ball query is asked of the dynamic index and of a from-scratch static
+    ``backend`` index over the survivors.  Half the moves land on a
+    quarter-unit lattice (exact in binary), so the storm keeps producing
+    coincident points and pairs exactly ``r`` apart.
     """
     rng = np.random.default_rng(41)
     radius, side = 1.0, 6.0
     seeded = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]  # coincident, and r apart
     pts = np.vstack([rng.uniform(0, side, size=(90, 2)), seeded])
-    dyn = DynamicSpatialIndex(pts, radius=radius, backend=backend)
+    dyn = DynamicSpatialIndex(pts, radius=radius)
     tracker = TopologyTracker(dyn, radius)
     for step in range(25):
         movers = np.sort(rng.choice(dyn.ids(), size=10, replace=False))
@@ -210,9 +215,12 @@ def test_tracker_neighbours_equal_index_ball_queries_over_a_storm(backend):
         if step % 4 == 1:
             dyn.delete(rng.choice(dyn.ids(), size=2, replace=False))
         tracker.update()
-        for node in dyn.ids().tolist():
-            got = tracker.neighbours(node)
-            assert got.tolist() == dyn.neighbours_of(node, radius).tolist(), (step, node)
+        ids = dyn.ids()
+        static = build_index(dyn.positions(), radius=radius, backend=backend)
+        for row, node in enumerate(ids.tolist()):
+            got = tracker.neighbours(node).tolist()
+            assert got == dyn.neighbours_of(node, radius).tolist(), (step, node)
+            assert got == ids[static.neighbours_of(row, radius)].tolist(), (step, node)
     exact = dyn.id_positions()[dyn.ids()]
     gaps = np.hypot(*(exact[:, None, :] - exact[None, :, :]).transpose(2, 0, 1))
     assert (gaps == 0.0).sum() > len(exact) and (gaps == radius).any()  # the storm hit both edge cases

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import pytest
 
 from repro.faults.chaos import chaos_serve_storm
 from repro.faults.plan import DROP, KILL, STALL, Fault, FaultPlan
-
-BACKENDS = ["kdtree", "grid"]
-
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -22,27 +18,20 @@ def test_seeded_kill_storms_never_corrupt(tmp_path_factory, seed):
     assert report.outcome in ("recovered", "exceeded")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_mid_tick_kill_recovers_identically_on_both_backends(tmp_path, backend):
+def test_mid_tick_kill_recovers_identically(tmp_path):
     """A kill on the first flush attempt of two separate ticks: restore from
-    snapshot + resend yields byte-identical replies and digest, whichever
-    index backend the world runs on."""
+    snapshot + resend yields byte-identical replies and digest."""
     plan = FaultPlan([Fault("serve.tick", 0, KILL), Fault("serve.tick", 4, KILL)])
-    report = chaos_serve_storm(
-        11, tmp_path / backend, n_ticks=4, n_nodes=20, backend=backend, plan=plan
-    )
+    report = chaos_serve_storm(11, tmp_path, n_ticks=4, n_nodes=20, plan=plan)
     assert report.outcome == "recovered"
     assert report.detail["kills"] == 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_client_reply_loss_resumes_off_applied_seq(tmp_path, backend):
+def test_client_reply_loss_resumes_off_applied_seq(tmp_path):
     plan = FaultPlan(
         [Fault("serve.client", 0, DROP), Fault("serve.client", 2, STALL, arg=0.0)]
     )
-    report = chaos_serve_storm(
-        12, tmp_path / backend, n_ticks=4, n_nodes=20, backend=backend, plan=plan
-    )
+    report = chaos_serve_storm(12, tmp_path, n_ticks=4, n_nodes=20, plan=plan)
     assert report.outcome == "recovered"
     assert report.detail == {"kills": 0, "reply_drops": 1}
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.primitives import pairwise_distances
-from repro.geometry.spatial import GridIndex
+from repro.geometry.index import GridIndex
 from repro.graphs.udg import udg_edges
 
 coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)

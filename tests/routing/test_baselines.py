@@ -1,63 +1,16 @@
-"""Tests for the greedy geographic and shortest-path routing baselines."""
+"""Tests for the shortest-path routing reference."""
 
 import numpy as np
 import pytest
 
 from repro.graphs.base import GeometricGraph
-from repro.graphs.udg import build_udg
-from repro.routing.baselines import greedy_geographic_route, shortest_path_route
+from repro.routing.baselines import shortest_path_route
 
 
 @pytest.fixture
 def chain_graph():
     pts = np.array([[0, 0], [1, 0], [2, 0], [3, 0]], dtype=float)
     return GeometricGraph(pts, np.array([[0, 1], [1, 2], [2, 3]]))
-
-
-class TestGreedy:
-    def test_success_on_chain(self, chain_graph):
-        result = greedy_geographic_route(chain_graph, 0, 3)
-        assert result.success
-        assert result.path == [0, 1, 2, 3]
-        assert result.hops == 3
-        assert result.euclidean_length == pytest.approx(3.0)
-
-    def test_local_minimum_failure(self):
-        """A void: the greedy next hop moves away from the target, so the route fails."""
-        pts = np.array([[0, 0], [0, 2], [2, 2], [2, 0], [1, -0.2]], dtype=float)
-        # Node 4 is near the target side but disconnected from the upper path.
-        edges = np.array([[0, 1], [1, 2], [2, 3]])
-        g = GeometricGraph(pts, edges)
-        result = greedy_geographic_route(g, 0, 3)
-        # From 0 the only neighbour is 1 which is farther from 3 → stuck immediately.
-        assert not result.success
-        assert result.stuck_at == 0
-
-    def test_source_equals_target(self, chain_graph):
-        result = greedy_geographic_route(chain_graph, 2, 2)
-        assert result.success
-        assert result.hops == 0
-
-    def test_out_of_range_rejected(self, chain_graph):
-        with pytest.raises(ValueError):
-            greedy_geographic_route(chain_graph, 0, 10)
-
-    def test_isolated_source_fails(self):
-        pts = np.array([[0, 0], [1, 0]], dtype=float)
-        g = GeometricGraph(pts, np.zeros((0, 2), dtype=int))
-        result = greedy_geographic_route(g, 0, 1)
-        assert not result.success
-
-    def test_high_density_udg_usually_delivers(self, rng):
-        pts = rng.uniform(0, 8, size=(500, 2))
-        g = build_udg(pts, radius=1.0)
-        successes = 0
-        for _ in range(20):
-            a, b = rng.integers(0, len(pts), size=2)
-            if a == b:
-                continue
-            successes += greedy_geographic_route(g, int(a), int(b)).success
-        assert successes >= 15
 
 
 class TestShortestPath:
@@ -75,15 +28,3 @@ class TestShortestPath:
         g = GeometricGraph(pts, np.array([[0, 1]]))
         result = shortest_path_route(g, 0, 2)
         assert not result.success
-
-    def test_greedy_never_beats_shortest_path(self, rng):
-        pts = rng.uniform(0, 6, size=(300, 2))
-        g = build_udg(pts, radius=1.0)
-        for _ in range(10):
-            a, b = (int(x) for x in rng.integers(0, len(pts), size=2))
-            if a == b:
-                continue
-            greedy = greedy_geographic_route(g, a, b)
-            shortest = shortest_path_route(g, a, b)
-            if greedy.success and shortest.success:
-                assert greedy.euclidean_length >= shortest.euclidean_length - 1e-9

@@ -29,7 +29,7 @@ def deployment(rng):
 
 
 def test_repair_engine_empty_update_is_noop(deployment):
-    index = DynamicSpatialIndex(deployment, radius=1.0, backend="grid")
+    index = DynamicSpatialIndex(deployment, radius=1.0)
     engine = DistributedRepairEngine(index, UDGTileSpec.default(), Rect(0, 0, 12, 12))
     messages = engine.stats.messages_sent
     rounds = engine.stats.rounds
@@ -50,7 +50,7 @@ def test_repair_engine_empty_update_is_noop(deployment):
 
 
 def test_udg_tracker_empty_explicit_pair_is_noop(deployment):
-    index = DynamicSpatialIndex(deployment, radius=1.0, backend="grid")
+    index = DynamicSpatialIndex(deployment, radius=1.0)
     tracker = TopologyTracker(index, radius=1.0)
     edges_before = tracker.edges().copy()
     diff = tracker.update(dirty=_EMPTY, deleted=_EMPTY)

@@ -5,7 +5,7 @@ of moves (with same-tick duplicate re-reports), churn (inserts/deletes,
 including same-tick move-after-delete conflicts) and empty ticks, the
 maintained structures of the served world — alive ids, exact positions, UDG
 edge set, spliced overlay — must be byte-identical to an uncoalesced
-sequential replay of the same trace.  Both index backends are certified.
+sequential replay of the same trace.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,14 +41,13 @@ def _serve(initial: np.ndarray, config: WorldConfig, ticks) -> LiveWorld:
     return session.world
 
 
-@pytest.mark.parametrize("backend", ["grid", "kdtree"])
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=12, deadline=None)
-def test_served_equals_sequential_replay(backend: str, seed: int) -> None:
+def test_served_equals_sequential_replay(seed: int) -> None:
     rng = np.random.default_rng(seed)
     n = 25
     initial = rng.uniform(0.0, SIDE, size=(n, 2))
-    config = WorldConfig(window_xmax=SIDE, window_ymax=SIDE, backend=backend)
+    config = WorldConfig(window_xmax=SIDE, window_ymax=SIDE)
     ticks = generate_storm(
         n,
         n_ticks=4,
@@ -65,11 +63,10 @@ def test_served_equals_sequential_replay(backend: str, seed: int) -> None:
     assert served.applied_seq == reference.applied_seq
 
 
-@pytest.mark.parametrize("backend", ["grid", "kdtree"])
-def test_pathological_tick_coalesces_exactly(backend: str, rng) -> None:
+def test_pathological_tick_coalesces_exactly(rng) -> None:
     """One hand-built worst-case tick: duplicates, delete-then-move, insert."""
     initial = rng.uniform(0.0, SIDE, size=(12, 2))
-    config = WorldConfig(window_xmax=SIDE, window_ymax=SIDE, backend=backend)
+    config = WorldConfig(window_xmax=SIDE, window_ymax=SIDE)
     ticks = [
         [
             {"op": "move", "node": 0, "position": [1.0, 1.0]},

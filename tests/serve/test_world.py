@@ -146,12 +146,11 @@ class TestQueries:
             with pytest.raises(ValueError):
                 world.coverage(far, sensing_radius=bad)
 
-    @pytest.mark.parametrize("backend", ["grid", "kdtree"])
-    def test_neighbours_at_a_radius_far_past_the_window(self, backend, rng):
+    def test_neighbours_at_a_radius_far_past_the_window(self, rng):
         # 60 nodes occupy far fewer cells than any stencil below, so the grid
         # visits its occupied cells, not the (2·reach+1)² stencil.
         positions = rng.uniform(0.0, 15.0, size=(60, 2))
-        world = LiveWorld(positions, WorldConfig(backend=backend))
+        world = LiveWorld(positions, WorldConfig())
         session = ServeSession(world)
         for radius in (6.0, 100.0, 1e6, 1e12):
             for node in (0, 17, 59):
@@ -263,9 +262,16 @@ class TestStateRoundTrip:
         with pytest.raises(ValueError, match="version"):
             LiveWorld.from_state(state)
 
-    def test_kdtree_backend_round_trips(self, rng):
-        positions = rng.uniform(0.0, 15.0, size=(40, 2))
-        world = LiveWorld(positions, WorldConfig(backend="kdtree"))
-        clone = LiveWorld.from_state(world.state())
-        assert clone.config.backend == "kdtree"
-        assert clone.digest() == world.digest()
+    def test_snapshot_names_the_grid_index(self, world):
+        state = world.state()
+        assert state["config"]["backend"] == "grid"
+        del state["config"]["backend"]  # snapshots that predate the key still load
+        assert LiveWorld.from_state(state).digest() == world.digest()
+
+    def test_snapshot_naming_another_index_is_refused(self, world):
+        state = world.state()
+        state["config"]["backend"] = "kdtree"
+        with pytest.raises(ValueError, match="kdtree"):
+            WorldConfig.from_payload(state["config"])
+        with pytest.raises(ValueError, match="kdtree"):
+            LiveWorld.from_state(state)
