@@ -61,7 +61,7 @@ import numpy as np
 from repro.core.goodness import TileDecisions, decide_tiles
 from repro.core.overlay import cross_tile_edges
 from repro.core.tiles_base import TileSpec
-from repro.core.tiling import TileIndex, Tiling
+from repro.core.tiling import DIRECTION_OFFSETS, TileIndex, Tiling
 from repro.distributed.construct import DistributedBuildResult, distributed_build
 from repro.distributed.network import NetworkStats
 from repro.geometry.primitives import Rect
@@ -99,10 +99,10 @@ def decision_messages(
     counts, leaders, good = decisions.region_counts, decisions.leaders, decisions.good
     if select is not None:
         counts, leaders, good = counts[select], leaders[select], good[select]
-    rep_col = list(spec.region_names).index(spec.representative_region)
-    rep = leaders[:, rep_col]
-    relays = np.delete(leaders, rep_col, axis=1)
-    present = (relays >= 0) & (relays != rep[:, None]) & (rep >= 0)[:, None]
+    rep = leaders[:, list(spec.region_names).index(spec.representative_region)]
+    # The representative's own column never differs from it, so it counts no
+    # handshake.
+    present = (leaders >= 0) & (leaders != rep[:, None]) & (rep >= 0)[:, None]
     handshakes = present.sum(axis=1)
     handshake_total = int(handshakes.sum())
     messages = {
@@ -222,23 +222,22 @@ class DistributedRepairEngine:
                 self._outcome[tile] = new
         return changed, int(np.count_nonzero(decisions.region_counts))
 
-    def _is_good(self, tile: TileIndex) -> bool:
-        return self._outcome.get(tile, _NO_OUTCOME)[0]
-
     def _resplice_pair(self, tile: TileIndex, direction: str) -> bool:
-        """Recompute one adjacent pair's overlay edges; True when it is live."""
-        if not self.tiling.contains_tile(tile):
-            return False
-        neighbour = self.tiling.neighbours(tile).get(direction)
+        """Recompute one adjacent pair's overlay edges; True when it is live.
+
+        Only in-grid tiles carry an outcome, so a pair of good tiles is a
+        pair of in-grid neighbours.
+        """
+        dc, dr = DIRECTION_OFFSETS[direction]
+        good_a, rep_a, relays_a = self._outcome.get(tile, _NO_OUTCOME)
+        good_b, rep_b, relays_b = self._outcome.get((tile[0] + dc, tile[1] + dr), _NO_OUTCOME)
         key = (tile, direction)
-        if neighbour is None or not self._is_good(tile) or not self._is_good(neighbour):
+        if not (good_a and good_b):
             self._pair_edges.pop(key, None)
             return False
-        _, rep_a, relays_a = self._outcome[tile]
-        _, rep_b, relays_b = self._outcome[neighbour]
-        edges, (a, b) = cross_tile_edges(self.spec, direction, rep_a, relays_a, rep_b, relays_b)
+        edges, (u, v) = cross_tile_edges(self.spec, direction, rep_a, relays_a, rep_b, relays_b)
         self._pair_edges[key] = edges
-        if a != b:
+        if u != v:
             self._count("border-request", 1)
             self._count("border-ack", 1)
         return True

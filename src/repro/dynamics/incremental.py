@@ -25,7 +25,10 @@ Bulk queries (and :meth:`query_pairs` /
 view, so the static grid's one-gather ``_matches`` scheme answers every
 center at once straight off the incrementally maintained structure,
 byte-identically to looping the scalar query per center — the S03 benchmark
-measures the gap (~an order of magnitude at large center counts).
+measures the gap (~an order of magnitude at large center counts).  The view
+keeps spare slots after every cell, and each membership change writes the
+touched cells into their slots in place; it is rebuilt from the cell map only
+when a touched cell lies outside the view or outgrows its slot.
 
 Membership is decided by the one shared
 :func:`~repro.geometry.index.within_ball` predicate of the static layer,
@@ -47,6 +50,9 @@ from repro.kernels import ops as kernel_ops
 __all__ = ["DynamicIndexStats", "DynamicSpatialIndex"]
 
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
+#: Spare member slots per cell of the bulk view: how far a cell may grow
+#: before a patch falls back to rebuilding the view.
+_CELL_SLACK = 8
 
 
 @dataclass
@@ -88,6 +94,8 @@ class DynamicSpatialIndex:
     """
 
     def __init__(self, points: np.ndarray, radius: float | None = None) -> None:
+        if radius is not None and not np.isfinite(radius):
+            raise ValueError(f"radius must be finite, got {radius!r}")
         pts = as_points(points)
         if len(pts) and not np.isfinite(pts).all():
             raise ValueError("positions must be finite")
@@ -359,52 +367,56 @@ class DynamicSpatialIndex:
         ``drop`` ids leave their *current* cells (``self._keys`` must still
         hold their old keys), ``add`` ids enter the cells of ``add_keys``
         (default: their current keys).  All touched cells are pooled,
-        re-grouped with one lexsort and written back; cells outside the
-        touched set are never visited — the dirty-cell patch.
+        re-grouped with one sort and written back, to the cell map and into
+        the bulk view's slots; cells outside the touched set are never
+        visited — the dirty-cell patch.
         """
         if add_keys is None:
             add_keys = self._keys[add]
-        parts = []
-        if len(drop):
-            parts.append(self._keys[drop])
-        if len(add):
-            parts.append(add_keys)
-        if not parts:
+        pooled_keys = np.concatenate([self._keys[drop], add_keys])
+        if not len(pooled_keys):
             return
-        self._bulk_view = None  # cell membership is about to change
-        pooled_keys = np.concatenate(parts)
         # Row-dedup via lexsort + boundary diff (cheaper than unique(axis=0),
-        # which hashes a void view of every row).
+        # which hashes a void view of every row); ``slot`` maps each pooled
+        # row to its touched cell.
         order = np.lexsort((pooled_keys[:, 1], pooled_keys[:, 0]))
-        pooled_keys = pooled_keys[order]
-        if len(pooled_keys) > 1:
-            keep = np.concatenate([[True], np.diff(pooled_keys, axis=0).any(axis=1)])
-            touched = pooled_keys[keep]
-        else:
-            touched = pooled_keys
+        sorted_keys = pooled_keys[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+        touched = sorted_keys[first]
+        slot = np.empty(len(order), dtype=np.int64)
+        slot[order] = np.cumsum(first) - 1
         cells = list(zip(touched[:, 0].tolist(), touched[:, 1].tolist()))
-        pools = [self._cells.pop(cell, None) for cell in cells]
-        members = np.concatenate([p for p in pools if p is not None] or [_EMPTY_IDS])
-        if len(drop):
-            members = members[~np.isin(members, drop)]
-        all_ids = np.concatenate([members, add]) if len(add) else members
-        all_keys = (
-            np.concatenate([self._keys[members], add_keys]) if len(add) else self._keys[members]
+        store = self._cells
+        pools = [store.pop(cell, _EMPTY_IDS) for cell in cells]
+        members = np.concatenate(pools)
+        member_slot = np.repeat(
+            np.arange(len(cells), dtype=np.int64),
+            np.fromiter(map(len, pools), dtype=np.int64, count=len(pools)),
         )
-        if len(all_ids):
-            order = np.lexsort((all_ids, all_keys[:, 1], all_keys[:, 0]))
-            all_ids = all_ids[order]
-            all_keys = all_keys[order]
-            breaks = np.nonzero(np.diff(all_keys, axis=0).any(axis=1))[0] + 1
-            starts = np.concatenate([[0], breaks])
-            ends = np.concatenate([breaks, [len(all_ids)]])
-            kx = all_keys[:, 0].tolist()
-            ky = all_keys[:, 1].tolist()
-            store = self._cells
+        if len(drop):
+            gone = np.sort(drop)
+            at = np.minimum(np.searchsorted(gone, members), len(gone) - 1)
+            keep = gone.take(at) != members
+            members, member_slot = members[keep], member_slot[keep]
+        all_ids = np.concatenate([members, add])
+        group = np.concatenate([member_slot, slot[len(drop) :]])
+        # One sort by (cell, id): ids are below the high-water mark.
+        all_ids = all_ids[np.argsort(group * self._size + all_ids)]
+        bounds = np.cumsum(np.bincount(group, minlength=len(cells))).tolist()
+        grouped = []
+        start = 0
+        for cell, end in zip(cells, bounds):
             # Cell arrays are views into one sorted batch buffer: they are
             # only ever read or wholesale replaced, never mutated in place.
-            for start, end in zip(starts.tolist(), ends.tolist()):
-                store[(kx[start], ky[start])] = all_ids[start:end]
+            ids = all_ids[start:end]
+            if end > start:
+                store[cell] = ids
+            grouped.append(ids)
+            start = end
+        view = self._bulk_view
+        if not (isinstance(view, GridIndex) and view._table.patch(touched, grouped)):
+            self._bulk_view = None
 
     def _grid_query_one(self, center: np.ndarray, radius: float) -> np.ndarray:
         coords = center.reshape(1, 2)
@@ -434,11 +446,12 @@ class DynamicSpatialIndex:
     def _grid_view(self) -> GridIndex | None:
         """The patched cell table wrapped as a static :class:`GridIndex`.
 
-        Built lazily from the live cell map (one pass over the occupied
-        cells) and kept until the next membership change, so a stream of bulk
-        queries between updates pays the flattening once.  ``None`` signals
-        the packed-key span overflowed and callers must loop the scalar query
-        (the same regime in which a static grid build refuses).
+        Built from the live cell map (one pass over the occupied cells) with
+        spare slots after every cell, then patched in place by each
+        membership change, and rebuilt only when a change does not fit: a
+        cell outside the view's table or grown past its slot.  ``None``
+        signals the packed-key span overflowed and callers must loop the
+        scalar query (the same regime in which a static grid build refuses).
         """
         if self._bulk_view is None:
             keys = np.fromiter(
@@ -446,7 +459,8 @@ class DynamicSpatialIndex:
             ).reshape(-1, 2)
             try:
                 self._bulk_view = GridIndex.from_cell_table(
-                    self._points, self.cell_size, keys, list(self._cells.values())
+                    self._points, self.cell_size, keys, list(self._cells.values()),
+                    slack=_CELL_SLACK,
                 )
             except ValueError:
                 self._bulk_view = False

@@ -16,16 +16,18 @@ picture.
 Edges travel in stable *node-id* space (pairs ``(i, j)``, ``i < j``,
 lexicographic), encoded internally as int64 keys ``i * 2**31 + j`` so diffs
 are set operations on sorted arrays.  The tracker stores every edge
-twice, as ``i → j`` and ``j → i``, in one sorted array: node ``a``'s edges
-are then the contiguous slice between ``a * 2**31`` and ``(a + 1) * 2**31``,
-so an update reads and rewrites only the dirty nodes' slices.  What remains
-O(E) per changed step is the memmove that writes the change back into the
-store (``np.delete`` then ``np.insert``).
+twice, as ``i → j`` and ``j → i``, in one padded row per node id (a
+:class:`_RowStore`): row ``a`` holds ``a``'s neighbour ids ascending, followed
+by unused slack.  An update reads the live prefixes of the dirty and deleted
+nodes' rows and rewrites only the rows whose edges changed, so a tick costs
+O(changed rows · degree), independent of the number of edges E.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Tuple
 
 import numpy as np
 
@@ -76,24 +78,141 @@ def _both_ways(keys: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([keys, keys % _ENC * _ENC + keys // _ENC]))
 
 
+def _isin_sorted(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of ``values`` present in the sorted array ``keys``."""
+    if len(keys) == 0:
+        return np.zeros(len(values), dtype=bool)
+    pos = np.searchsorted(keys, values)
+    return keys.take(np.minimum(pos, len(keys) - 1)) == values
+
+
+#: Marks a free slot of a :class:`_RowStore` row; sorts after every id.
+_FREE = np.iinfo(np.uint32).max
+
+
+def _padded_width(degree: int) -> int:
+    """Row width for a largest degree: a quarter spare, in multiples of 16."""
+    return max(16, -(-(degree + degree // 4) // 16) * 16)
+
+
+class _RowStore:
+    """Directed edge keys as one padded row per node id.
+
+    Row ``a`` holds ``a``'s neighbour ids ascending in its first
+    ``degree[a]`` slots, and :data:`_FREE` in every slot after them.
+    Reading the rows of ascending nodes therefore yields their directed keys
+    ``a * 2**31 + b`` already sorted, and a write-back reads and rewrites
+    only the rows it changes.  Rows are uint32 (ids are below ``2**31``);
+    the row count grows with the id high-water mark and the width with the
+    largest degree.
+    """
+
+    def __init__(self, n_rows: int = 0, width: int = 16) -> None:
+        self.rows = np.full((n_rows, width), _FREE, dtype=np.uint32)
+        self.degree = np.zeros(n_rows, dtype=np.int64)
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, n_rows: int) -> "_RowStore":
+        """A store holding the sorted directed ``keys`` over ``n_rows`` ids."""
+        src = keys // _ENC
+        degree = np.bincount(src, minlength=n_rows)
+        store = cls(n_rows, _padded_width(int(degree.max(initial=0))))
+        cols = np.arange(len(keys), dtype=np.int64) - np.repeat(np.cumsum(degree) - degree, degree)
+        store.rows[src, cols] = keys - src * _ENC
+        store.degree = degree
+        return store
+
+    def reserve(self, n_rows: int, width: int = 0) -> None:
+        """Grow to at least ``n_rows`` rows and ``width`` slots per row."""
+        rows, cols = self.rows.shape
+        if n_rows <= rows and width <= cols:
+            return
+        if n_rows > rows:
+            n_rows = max(n_rows, rows + rows // 4 + 8)
+            self.degree = np.concatenate([self.degree, np.zeros(n_rows - rows, dtype=np.int64)])
+        grown = np.full((max(n_rows, rows), max(_padded_width(width), cols)), _FREE, dtype=np.uint32)
+        grown[:rows, :cols] = self.rows
+        self.rows = grown
+
+    def row(self, node: int) -> np.ndarray:
+        """Ascending neighbour ids of ``node`` (empty for an id the store never held)."""
+        if not 0 <= node < len(self.degree):
+            return _EMPTY_KEYS.copy()
+        return self.rows[node, : self.degree[node]].astype(np.int64)
+
+    def gather(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(owners, members)`` of the live slots of ``nodes``' rows, row after row."""
+        block = self.rows.take(nodes, axis=0)
+        members = block[block != _FREE].astype(np.int64)
+        return np.repeat(nodes, self.degree.take(nodes)), members
+
+    def keys(self) -> np.ndarray:
+        """Every stored directed key, sorted."""
+        owners, members = self.gather(np.flatnonzero(self.degree))
+        return owners * _ENC + members
+
+    def splice(self, removed: np.ndarray, added: np.ndarray) -> None:
+        """Drop the directed keys ``removed`` and add the sorted keys ``added``.
+
+        Every removed key must be stored and no added key may be.  The rows
+        that own a changed key are copied out as one block; each removed key
+        becomes a free slot, each added key fills a free slot after its row's
+        live ones, and one sort per row restores the layout before the block
+        is written back.
+        """
+        if len(removed) == 0 and len(added) == 0:
+            return
+        rem_src = removed // _ENC
+        add_src = added // _ENC
+        owners = np.concatenate([rem_src, add_src])
+        owners.sort()
+        touched = owners[np.concatenate(([True], owners[1:] != owners[:-1]))]
+        self.reserve(int(touched[-1]) + 1)
+        at_rem = np.searchsorted(touched, rem_src)
+        at_add = np.searchsorted(touched, add_src)
+        degree = self.degree.take(touched)
+        grown = degree + np.bincount(at_add, minlength=len(touched))
+        self.reserve(0, int(grown.max()))
+        block = self.rows.take(touched, axis=0)
+        rem_dst = (removed - rem_src * _ENC)[:, None]
+        block[at_rem, (block.take(at_rem, axis=0) == rem_dst).argmax(axis=1)] = _FREE
+        # ``added`` is sorted, so each key's rank within its row is its
+        # distance from the row's first added key.
+        rank = np.arange(len(added), dtype=np.int64) - np.searchsorted(add_src, add_src)
+        block[at_add, degree.take(at_add) + rank] = added - add_src * _ENC
+        block.sort(axis=1)
+        self.rows[touched] = block
+        self.degree[touched] = grown - np.bincount(at_rem, minlength=len(touched))
+
+
 @dataclass(frozen=True)
 class EdgeDiff:
     """Edge delta of one timestep, in stable node-id space.
 
-    ``added`` / ``removed`` are ``(m, 2)`` id pairs, smaller id first, rows
-    lexicographic — the same canonical shape the graph builders emit.
+    Built from the sorted canonical keys of the added and removed edges;
+    :attr:`added` / :attr:`removed` decode them on first read into ``(m, 2)``
+    id pairs, smaller id first, rows lexicographic — the same canonical
+    shape the graph builders emit.  The counts never decode.
     """
 
-    added: np.ndarray
-    removed: np.ndarray
+    added_keys: np.ndarray
+    removed_keys: np.ndarray
+
+    @cached_property
+    def added(self) -> np.ndarray:
+        return _decode(self.added_keys)
+
+    @cached_property
+    def removed(self) -> np.ndarray:
+        return _decode(self.removed_keys)
 
     @property
     def n_added(self) -> int:
-        return len(self.added)
+        return len(self.added_keys)
 
     @property
     def n_removed(self) -> int:
-        return len(self.removed)
+        return len(self.removed_keys)
 
     @property
     def churn(self) -> int:
@@ -119,14 +238,15 @@ class TopologyTracker:
     """
 
     def __init__(self, index: DynamicSpatialIndex, radius: float) -> None:
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
+        radius = float(radius)
+        if not np.isfinite(radius) or radius < 0:
+            raise ValueError(f"radius must be finite and non-negative, got {radius!r}")
         self.index = index
-        self.radius = float(radius)
+        self.radius = radius
         index.consume_dirty()  # updates before tracking started are not diffs
-        #: Canonical ``i < j`` keys, derived from the directed store on demand.
-        self._canonical: np.ndarray | None = self._recompute()
-        self._directed = _both_ways(self._canonical)
+        canonical = self._recompute()
+        self._n_edges = len(canonical)
+        self._store = _RowStore.from_keys(_both_ways(canonical), len(index.id_positions()))
 
     def _recompute(self) -> np.ndarray:
         """Sorted canonical keys of every edge, from one flat self-join of the index."""
@@ -139,29 +259,26 @@ class TopologyTracker:
         return _pair_keys(ids.take(owners), members)
 
     def _keys(self) -> np.ndarray:
-        if self._canonical is None:
-            keys = self._directed
-            self._canonical = keys[keys // _ENC < keys % _ENC]
-        return self._canonical
+        """Sorted canonical ``i < j`` keys of the maintained edges."""
+        keys = self._store.keys()
+        return keys[keys // _ENC < keys % _ENC]
 
     @property
     def n_edges(self) -> int:
-        return len(self._directed) // 2
+        return self._n_edges
 
     def edges(self) -> np.ndarray:
         """Current ``(m, 2)`` edge array (id space, lexicographic)."""
         return _decode(self._keys())
 
     def neighbours(self, node: int) -> np.ndarray:
-        """Ascending ids of ``node``'s UDG neighbours: its slice of the directed store.
+        """Ascending ids of ``node``'s UDG neighbours: its row of the directed store.
 
         Equal to ``index.neighbours_of(node, radius)`` for an alive node and
         a positive radius (both decide membership with the index's exact
         ball test, and neither lists the node itself).
         """
-        keys = self._directed
-        lo, hi = np.searchsorted(keys, (node * _ENC, (node + 1) * _ENC)).tolist()
-        return keys[lo:hi] % _ENC
+        return self._store.row(int(node))
 
     def update(
         self, dirty: np.ndarray | None = None, deleted: np.ndarray | None = None
@@ -169,10 +286,11 @@ class TopologyTracker:
         """Repair the edge set after index updates; returns what changed.
 
         Only edges incident to a dirty (moved/inserted) or deleted node are
-        re-examined: they are read off those nodes' contiguous slices of the
-        directed store, the dirty nodes' closed balls are re-queried with one
-        bulk query, and the difference is spliced back.  Edges between two
-        untouched nodes are provably unchanged and never visited.
+        re-examined: they are read off those nodes' rows of the directed
+        store, the dirty nodes' closed balls are re-queried with one bulk
+        query, and the difference is written back into the rows it touches.
+        Edges between two untouched nodes are provably unchanged and never
+        visited.
 
         With no arguments the tracker consumes the index's own dirty stream;
         pass an already-consumed ``(dirty, deleted)`` pair explicitly when
@@ -183,39 +301,36 @@ class TopologyTracker:
         """
         if (dirty is None) != (deleted is None):
             raise ValueError("pass both dirty and deleted (one consumed stream), or neither")
-        if len(self.index.id_positions()) > _ENC:
+        n_ids = len(self.index.id_positions())
+        if n_ids > _ENC:
             raise ValueError("node ids past 2**31 cannot be edge-encoded")
         if dirty is None:
             dirty, deleted = self.index.consume_dirty()
         dirty = np.asarray(dirty, dtype=np.int64).reshape(-1)
         deleted = np.asarray(deleted, dtype=np.int64).reshape(-1)
         if dirty.size == 0 and deleted.size == 0:
-            return EdgeDiff(_EMPTY_EDGES.copy(), _EMPTY_EDGES.copy())
-        affected = np.union1d(dirty, deleted)
-        keys = self._directed
-        bounds = np.searchsorted(keys, np.stack([affected, affected + 1]) * _ENC).tolist()
-        incident = np.concatenate([keys[lo:hi] for lo, hi in zip(*bounds)])
-        old = _pair_keys(incident // _ENC, incident % _ENC)
+            return EdgeDiff(_EMPTY_KEYS, _EMPTY_KEYS)
+        store = self._store
+        store.reserve(n_ids)
+        old = _pair_keys(*store.gather(np.concatenate([dirty, deleted])))
 
         fresh = _EMPTY_KEYS
         if self.radius > 0 and dirty.size:
             owners, members = self.index.ball_matches(self.index.id_positions()[dirty], self.radius)
-            fresh = _pair_keys(dirty[owners], members)
+            fresh = _pair_keys(dirty.take(owners), members)
 
-        added = np.setdiff1d(fresh, old, assume_unique=True)
-        removed = np.setdiff1d(old, fresh, assume_unique=True)
+        added = fresh[~_isin_sorted(fresh, old)]
+        removed = old[~_isin_sorted(old, fresh)]
         if added.size or removed.size:
-            kept = np.delete(keys, np.searchsorted(keys, _both_ways(removed)))
-            add = _both_ways(added)
-            self._directed = np.insert(kept, np.searchsorted(kept, add), add)
-            self._canonical = None
-        return EdgeDiff(_decode(added), _decode(removed))
+            store.splice(_both_ways(removed), _both_ways(added))
+            self._n_edges += len(added) - len(removed)
+        return EdgeDiff(added, removed)
 
     def matches_recompute(self) -> bool:
         """Whether both orientations of the maintained edges equal a recompute."""
         expected = self._recompute()
-        return np.array_equal(self._keys(), expected) and np.array_equal(
-            self._directed, _both_ways(expected)
+        return self._n_edges == len(expected) and np.array_equal(
+            self._store.keys(), _both_ways(expected)
         )
 
     def graph(self, name: str | None = None) -> GeometricGraph:

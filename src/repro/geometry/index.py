@@ -354,6 +354,7 @@ class GridIndex(_IndexBase):
         cell_keys: np.ndarray,
         cell_members: Sequence[np.ndarray],
         chunk_size: int | None = DEFAULT_BULK_CHUNK_SIZE,
+        slack: int = 0,
     ) -> "GridIndex":
         """Adopt an externally maintained cell table instead of deriving one.
 
@@ -387,6 +388,9 @@ class GridIndex(_IndexBase):
             ``(m, 2)`` integer keys of the occupied cells, duplicate-free.
         cell_members:
             One sorted id array per row of ``cell_keys``.
+        slack:
+            Spare slots after each cell's members, so that the owner can
+            patch cells in place (:meth:`~repro.kernels.layout.CellTable.patch`).
 
         Raises
         ------
@@ -409,7 +413,7 @@ class GridIndex(_IndexBase):
                 "cell table; fall back to scalar queries"
             )
         index._table = CellTable.adopt_cells(
-            pack_keys(keys, key_min, spans), cell_members, key_min, spans
+            pack_keys(keys, key_min, spans), cell_members, key_min, spans, slack
         )
         return index
 

@@ -143,10 +143,12 @@ class CellTable:
 
     ``cell_ids`` holds the packed ids of the occupied cells, sorted
     ascending and duplicate-free; cell ``c``'s members are
-    ``order[starts[c] : starts[c] + counts[c]]``.  ``key_min``/``spans``
-    record the packing so queries can derive packed ids for arbitrary
-    cells.  The two constructors mirror the two ways an index comes to
-    exist: :meth:`group_points` buckets a fresh point set, and
+    ``order[starts[c] : starts[c] + counts[c]]`` (an adopted table may
+    leave spare slots between cells, and a patched one may keep a cell whose
+    count fell to zero).  ``key_min``/``spans`` record the packing so
+    queries can derive packed ids for arbitrary cells.  The two
+    constructors mirror the two ways an index comes to exist:
+    :meth:`group_points` buckets a fresh point set, and
     :meth:`adopt_cells` wraps an externally maintained cell → members map
     (the dynamic layer's patched table) without re-bucketing anything.
     """
@@ -192,28 +194,62 @@ class CellTable:
         members: Sequence[np.ndarray],
         key_min: np.ndarray,
         spans: np.ndarray,
+        slack: int = 0,
     ) -> "CellTable":
         """Wrap an existing cell → sorted-members map (one entry per packed id).
 
         ``packed`` must be duplicate-free but need not be sorted;
         ``members[i]`` are the member ids of cell ``packed[i]``.  The member
-        arrays are concatenated in cell order — adopted by reference, never
-        re-bucketed.
+        arrays are laid out in cell order — adopted by reference, never
+        re-bucketed — each in a slot ``slack`` entries longer than the cell,
+        so that :meth:`patch` can later rewrite a grown cell in place.
         """
-        cell_order = np.argsort(packed, kind="stable")
+        cell_order = np.argsort(packed, kind="stable").tolist()
         counts = np.fromiter(
-            (len(members[i]) for i in cell_order.tolist()),
-            dtype=ROW_IDS.dtype,
-            count=len(packed),
+            (len(members[i]) for i in cell_order), dtype=ROW_IDS.dtype, count=len(packed)
         )
+        slots = counts + int(slack)
+        starts = (np.cumsum(slots) - slots).astype(np.int64)
+        order = np.zeros(int(slots.sum()), dtype=ROW_IDS.dtype)
+        # Member k of the flat concatenation shifts by the slack of the slots before its cell.
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        order[np.arange(len(shift)) + shift] = np.concatenate([members[i] for i in cell_order])
         return cls(
             cell_ids=packed[cell_order],
-            starts=np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64),
+            starts=starts,
             counts=counts,
-            order=np.concatenate([members[i] for i in cell_order.tolist()]),
+            order=order,
             key_min=key_min,
             spans=spans,
         )
+
+    def patch(self, keys: np.ndarray, members: Sequence[np.ndarray]) -> bool:
+        """Rewrite the members of existing cells in place; False if they do not fit.
+
+        ``keys`` are ``(m, 2)`` cell keys and ``members[i]`` the new sorted
+        members of cell ``keys[i]`` (possibly empty).  Each cell must already
+        be in the table, and its new members must fit the slot it was laid
+        out in (cells are laid out in ``cell_ids`` order, so a slot ends where
+        the next one starts).  When any cell fails, the table is left
+        untouched and the caller rebuilds it.
+        """
+        n = self.n_cells
+        rel = keys - self.key_min
+        if n == 0 or (rel < 0).any() or (rel >= self.spans).any():
+            return False
+        packed = rel[:, 0] * self.spans[1] + rel[:, 1]
+        pos = np.searchsorted(self.cell_ids, packed)
+        if (pos >= n).any() or (self.cell_ids.take(pos) != packed).any():
+            return False
+        counts = np.fromiter((len(m) for m in members), dtype=ROW_IDS.dtype, count=len(members))
+        starts = self.starts.take(pos)
+        ends = np.append(self.starts, len(self.order)).take(pos + 1)
+        if (counts > ends - starts).any():
+            return False
+        for start, cell_members in zip(starts.tolist(), members):
+            self.order[start : start + len(cell_members)] = cell_members
+        self.counts[pos] = counts
+        return True
 
     @property
     def n_cells(self) -> int:
@@ -221,7 +257,7 @@ class CellTable:
 
     @property
     def n_members(self) -> int:
-        return len(self.order)
+        return int(self.counts.sum())
 
     def member_lists(self) -> List[np.ndarray]:
         """Per-cell member views, in ``cell_ids`` order."""

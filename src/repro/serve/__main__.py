@@ -26,6 +26,19 @@ from repro.serve.snapshot import restore_world
 from repro.serve.world import LiveWorld, WorldConfig
 
 
+def _radius(text: str) -> float:
+    """argparse type of ``--radius``: a finite, non-negative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"radius must be a finite non-negative number, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
@@ -54,14 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="deployment window bounds",
     )
     world.add_argument(
-        "--radius", type=float, default=None, help="UDG connection radius (default: tile spec)"
+        "--radius", type=_radius, default=None, help="UDG connection radius (default: tile spec)"
     )
     daemon = parser.add_argument_group("daemon")
     daemon.add_argument(
         "--tick-interval",
         type=float,
         default=DEFAULT_TICK_INTERVAL,
-        help="seconds the daemon sleeps between applied ticks",
+        help="seconds the daemon sleeps between applied ticks; an update's reply "
+        "waits for the next tick, so this sets most of its latency, and each tick "
+        "costs daemon CPU (default: %(default)s)",
     )
     daemon.add_argument(
         "--high-water",

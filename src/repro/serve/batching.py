@@ -9,9 +9,9 @@ dirty-id stream.  Two contracts make that safe and fast:
 **Backpressure is explicit.**  The pending queue is bounded: past the
 high-water mark :meth:`TickBatcher.offer` refuses the event and the
 transport replies ``{"ok": false, "error": "overloaded", "retry_after": s}``
-instead of queueing unboundedly.  ``retry_after`` is sized from the backlog
-(how many ticks the current buffer needs to drain), so well-behaved clients
-back off proportionally.
+instead of queueing unboundedly.  ``retry_after`` is one tick interval:
+a refusal happens only when the buffer is full, and the next flush drains
+the whole buffer, so a client that waits one tick finds room again.
 
 **Coalescing preserves sequential semantics.**  The coalesced batch is, by
 construction, equivalent to applying the *accepted* events one at a time in
@@ -166,8 +166,8 @@ def coalesce_events(
 
 
 #: Default tick interval in seconds: the TCP daemon's sleep between flushes
-#: and the unit of every ``retry_after`` hint.
-DEFAULT_TICK_INTERVAL = 0.05
+#: and every ``retry_after`` hint (why 30 ms: see ``ServeSession``).
+DEFAULT_TICK_INTERVAL = 0.03
 #: Default pending-event bound before backpressure refusals.
 DEFAULT_HIGH_WATER = 50_000
 
@@ -179,8 +179,8 @@ class TickBatcher:
     ----------
     high_water:
         Maximum number of buffered events.  :meth:`offer` refuses events
-        past it; the refusal carries a ``retry_after`` hint derived from
-        ``tick_interval`` and the backlog depth.
+        past it; the refusal carries a ``retry_after`` hint of one
+        ``tick_interval``.
     tick_interval:
         The scheduler's nominal tick period, used only to size the
         ``retry_after`` hint (the batcher itself never reads a clock).
@@ -217,9 +217,8 @@ class TickBatcher:
         return self._next_seq
 
     def retry_after(self) -> float:
-        """Seconds a refused client should wait: the backlog's drain time."""
-        backlog_ticks = max(1, len(self._pending) // max(1, self.high_water))
-        return round(backlog_ticks * self.tick_interval, 6)
+        """Seconds a refused client should wait: one tick, which drains the full buffer."""
+        return self.tick_interval
 
     def offer(self, request: Request) -> Tuple[PendingEvent, bool]:
         """Buffer one update event; ``(event, accepted)``.

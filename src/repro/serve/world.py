@@ -9,8 +9,8 @@ Figure-7 overlay — all three fed from *one* consumed dirty-id stream per
 applied tick, exactly the sharing pattern the M02 workload pioneered.
 Every query answers from those maintained structures:
 
-* ``neighbours`` at the UDG radius is the node's contiguous slice of the
-  tracker's directed edge store; at any other radius it is one ball query
+* ``neighbours`` at the UDG radius is the node's row of the tracker's
+  directed edge store; at any other radius it is one ball query
   on the live index.
 * ``route`` is a BFS over a CSR adjacency of the engine's spliced overlay,
   rebuilt only when the engine re-splices (a repair changed some tile).
@@ -59,11 +59,12 @@ _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 class WorldConfig:
     """The served deployment's fixed parameters.
 
-    ``radius`` is the UDG connection radius (default: the tile spec's); the
-    window bounds define the overlay tiling.  The config travels inside
-    snapshots so a restore cannot silently change the world's geometry.  The
-    payload keeps a ``"backend": "grid"`` entry because recorded snapshots
-    and world digests hash it; a payload naming any other index is refused.
+    ``radius`` is the UDG connection radius (default: the tile spec's; a
+    non-finite one is refused); the window bounds define the overlay tiling.
+    The config travels inside snapshots so a restore cannot silently change
+    the world's geometry.  The payload keeps a ``"backend": "grid"`` entry
+    because recorded snapshots and world digests hash it; a payload naming
+    any other index is refused.
     """
 
     window_xmin: float = 0.0
@@ -71,6 +72,10 @@ class WorldConfig:
     window_xmax: float = 15.0
     window_ymax: float = 15.0
     radius: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.radius is not None and not np.isfinite(self.radius):
+            raise ValueError(f"radius must be finite, got {self.radius!r}")
 
     @property
     def window(self) -> Rect:
@@ -194,9 +199,7 @@ class LiveWorld:
             return ApplyResult(
                 applied_seq=self.applied_seq,
                 inserted_ids={},
-                edge_diff=EdgeDiff(
-                    np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
-                ),
+                edge_diff=EdgeDiff(_EMPTY_IDS, _EMPTY_IDS),
                 repair=RepairReport(0, 0, 0, 0, 0),
                 n_events=batch.n_events,
                 n_operations=0,
@@ -229,7 +232,7 @@ class LiveWorld:
     def neighbours(self, node: int, radius: Optional[float] = None) -> List[int]:
         """Ids within ``radius`` (default: the UDG radius) of an alive node.
 
-        At the UDG radius the answer is the node's slice of the tracker's
+        At the UDG radius the answer is the node's row of the tracker's
         directed edge store; any other radius (0 keeps its coincident-point
         meaning) is one ball query on the live index; a non-finite radius is
         an error.

@@ -126,10 +126,51 @@ class TestGridViewLifecycle:
         dyn.move([0], dyn.position_of(0)[None, :] + 1e-12)
         assert dyn._bulk_view is view
         _assert_bulk_matches_scalar(dyn, centers, RADIUS)
-        # … while a cell-crossing move invalidates it.
-        dyn.move([0], dyn.position_of(0)[None, :] + 5.0)
+        # … a move into another occupied cell patches it in place …
+        other = int(np.flatnonzero((dyn._keys[:50] != dyn._keys[0]).any(axis=1))[0])
+        dyn.move([0], dyn.position_of(other)[None, :])
+        assert dyn._bulk_view is view
+        _assert_bulk_matches_scalar(dyn, centers, RADIUS)
+        # … while a move out of the view's cells invalidates it.
+        dyn.move([0], dyn.position_of(0)[None, :] + 50.0)
         assert dyn._bulk_view is None
         _assert_bulk_matches_scalar(dyn, centers, RADIUS)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_patched_view_answers_like_a_fresh_view(self, seed):
+        """After every batch the patched view's matches equal, array for
+        array, those of a view built fresh from the cell map."""
+        rng = np.random.default_rng(seed)
+        dyn = DynamicSpatialIndex(rng.uniform(0, 6, size=(150, 2)), radius=RADIUS)
+        centers = rng.uniform(-1, 7, size=(40, 2))
+        dyn.ball_matches(centers, RADIUS)
+        kept = 0
+        for step in range(40):
+            view = dyn._bulk_view
+            ids = dyn.ids()
+            movers = np.sort(rng.choice(ids, size=min(8, len(ids)), replace=False))
+            # Mostly small steps; now and then one far out of the view's cells.
+            jump = rng.normal(0, 0.4, size=(len(movers), 2))
+            if step % 9 == 8:
+                jump[0] += 20.0
+            dyn.move(movers, dyn.id_positions()[movers] + jump)
+            if step % 3 == 0:
+                dyn.insert(rng.uniform(0, 6, size=(int(rng.integers(1, 4)), 2)))
+            if step % 4 == 1:
+                dyn.delete(rng.choice(dyn.ids(), size=3, replace=False))
+            got = dyn.ball_matches(centers, RADIUS)
+            kept += dyn._bulk_view is view
+            fresh = GridIndex.from_cell_table(
+                dyn._points, dyn.cell_size, np.array(list(dyn._cells), dtype=np.int64),
+                list(dyn._cells.values()),
+            )
+            want = fresh._matches(centers, RADIUS)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            alive = dyn.id_positions()[dyn.ids()]
+            got = dyn.ball_matches(alive, RADIUS, self_join=True)
+            want = fresh._matches(alive, RADIUS, self_join=True)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert kept > 10  # most batches patched the view rather than rebuilding it
 
     def test_span_overflow_falls_back_to_scalar(self):
         # Two occupied cells 2**61 apart: the packed span overflows and the

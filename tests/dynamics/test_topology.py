@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.dynamics.incremental import DynamicSpatialIndex
-from repro.dynamics.topology import EdgeDiff, TopologyTracker, _decode, _encode
+from repro.dynamics.topology import (
+    _ENC,
+    _FREE,
+    EdgeDiff,
+    TopologyTracker,
+    _RowStore,
+    _decode,
+    _encode,
+)
 from repro.geometry.index import BACKENDS, build_index
 from repro.graphs.udg import udg_edges
 
@@ -225,3 +233,67 @@ def test_tracker_neighbours_equal_index_ball_queries_over_a_storm(backend):
     gaps = np.hypot(*(exact[:, None, :] - exact[None, :, :]).transpose(2, 0, 1))
     assert (gaps == 0.0).sum() > len(exact) and (gaps == radius).any()  # the storm hit both edge cases
 
+
+
+def _reference_splice(keys: np.ndarray, removed: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """The flat write-back the row store replaces: ``np.delete`` then ``np.insert``."""
+    kept = np.delete(keys, np.searchsorted(keys, removed))
+    return np.insert(kept, np.searchsorted(kept, added), added)
+
+
+def _directed(pairs) -> np.ndarray:
+    return np.sort(np.array([a * int(_ENC) + b for a, b in pairs], dtype=np.int64))
+
+
+def _assert_store_holds(store: _RowStore, keys: np.ndarray) -> None:
+    assert np.array_equal(store.keys(), keys)
+    owners = keys // _ENC
+    for node in range(len(store.degree)):
+        row = keys[owners == node] % _ENC
+        assert np.array_equal(store.row(node), row)
+        assert store.degree[node] == len(row)
+        assert (store.rows[node, len(row) :] == _FREE).all()
+
+
+class TestRowStoreSplice:
+    """The padded row write-back equals the flat ``np.delete`` + ``np.insert``."""
+
+    def test_edge_positions(self):
+        keys = _directed([(0, 1), (0, 5), (0, 9), (1, 0), (3, 2), (3, 7)])
+        store = _RowStore.from_keys(keys, 4)
+        cases = [
+            # first and last key of the store
+            (_directed([(0, 1), (3, 7)]), _directed([])),
+            # three keys at one insertion point, and one past the last key
+            (_directed([]), _directed([(0, 2), (0, 3), (0, 4), (3, 9)])),
+            # a whole row replaced, and a row that was empty filled
+            (_directed([(0, 2), (0, 3), (0, 4), (0, 5), (0, 9)]), _directed([(0, 6), (2, 0)])),
+            # keys added before the first key of a row and of the store
+            (_directed([]), _directed([(0, 0), (2, 1), (3, 0)])),
+        ]
+        for removed, added in cases:
+            expected = _reference_splice(keys, removed, added)
+            store.splice(removed, added)
+            _assert_store_holds(store, expected)
+            keys = expected
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_splices(self, seed):
+        rng = np.random.default_rng(seed)
+        n_rows = int(rng.integers(1, 12))
+        universe = np.arange(n_rows * 40, dtype=np.int64)
+        universe = universe // 40 * _ENC + universe % 40
+        keys = np.sort(rng.choice(universe, size=int(rng.integers(0, len(universe))), replace=False))
+        store = _RowStore.from_keys(keys, n_rows)
+        for _ in range(8):
+            # Empty sides, sparse and dense changes, and ids past the last row.
+            p_remove, p_add = rng.choice([0.0, 0.05, 0.5, 1.0], size=2)
+            removed = keys[rng.random(len(keys)) < p_remove]
+            grown = np.arange((n_rows + 2) * 40, dtype=np.int64)
+            grown = grown // 40 * _ENC + grown % 40
+            free = np.setdiff1d(grown, keys)
+            added = free[rng.random(len(free)) < p_add / 4]
+            expected = _reference_splice(keys, rng.permutation(removed), added)
+            store.splice(rng.permutation(removed), added)
+            _assert_store_holds(store, expected)
+            keys = expected

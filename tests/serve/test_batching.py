@@ -78,6 +78,12 @@ class TestBatcher:
     def test_retry_after_scales_with_backlog(self):
         batcher = TickBatcher(high_water=2, tick_interval=0.5)
         assert batcher.retry_after() == pytest.approx(0.5)
+        # A refusal needs a full buffer, and one flush drains all of it: the
+        # hint stays one tick however the buffer filled.
+        for x in range(3):
+            batcher.offer(_insert(x, x))
+        assert len(batcher) == batcher.high_water
+        assert batcher.retry_after() == pytest.approx(0.5)
 
     def test_start_seq_resumes_numbering(self):
         batcher = TickBatcher(start_seq=41)

@@ -7,6 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.dynamics.incremental import DynamicSpatialIndex
+from repro.dynamics.topology import TopologyTracker
+from repro.serve.__main__ import main as serve_main
 from repro.serve.batching import TickBatcher, coalesce_events
 from repro.serve.protocol import Request
 from repro.serve.server import ServeSession
@@ -275,3 +278,32 @@ class TestStateRoundTrip:
             WorldConfig.from_payload(state["config"])
         with pytest.raises(ValueError, match="kdtree"):
             LiveWorld.from_state(state)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
+class TestNonFiniteRadius:
+    """A non-finite UDG radius is refused where it enters, naming the radius."""
+
+    def test_world_config(self, radius):
+        with pytest.raises(ValueError, match=f"radius must be finite, got {radius!r}"):
+            WorldConfig(radius=radius)
+        payload = WorldConfig().to_payload()
+        payload["radius"] = radius
+        with pytest.raises(ValueError, match=f"radius must be finite, got {radius!r}"):
+            WorldConfig.from_payload(payload)
+
+    def test_index_and_tracker(self, radius, rng):
+        points = rng.uniform(0.0, 5.0, size=(20, 2))
+        with pytest.raises(ValueError, match=f"radius must be finite, got {radius!r}"):
+            DynamicSpatialIndex(points, radius=radius)
+        index = DynamicSpatialIndex(points, radius=1.0)
+        with pytest.raises(ValueError, match=f"radius must be finite.*got {radius!r}"):
+            TopologyTracker(index, radius)
+
+    def test_cli(self, radius, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main(["--stdio", f"--radius={radius!r}"])
+        assert exit_info.value.code == 2
+        assert f"radius must be a finite non-negative number, got '{radius!r}'" in (
+            capsys.readouterr().err
+        )
