@@ -56,9 +56,7 @@ def goodness_verdict(
     ``spec.region_names`` order.  Returns ``(good, failure)``: the cap is
     checked first (``OVERCROWDED``), then the first empty required region.
     """
-    names = list(spec.region_names)
-    required = [names.index(name) for name in spec.required_regions]
-    missing = region_counts[:, required] == 0
+    missing = region_counts[:, spec.region_columns.required] == 0
     failure = np.where(missing.any(axis=1), MISSING + missing.argmax(axis=1), GOOD)
     if cap is not None:
         failure = np.where(members > cap, OVERCROWDED, failure)
@@ -101,7 +99,7 @@ class TileDecisions:
         empty for bad ones.
         """
         names = list(spec.region_names)
-        rep_col = names.index(spec.representative_region)
+        rep_col = spec.region_columns.representative
         for tile, good, row in zip(map(tuple, self.tiles.tolist()), self.good.tolist(), self.leaders.tolist()):
             relays = {name: row[j] for j, name in enumerate(names) if j != rep_col} if good else {}
             yield tile, good, (row[rep_col] if row[rep_col] >= 0 else None), relays
@@ -125,35 +123,32 @@ def decide_tiles(
     equals a per-tile classification), one :meth:`TileSpec.classify_points`
     call assigns regions, and one ``np.lexsort`` elects the leader of every
     ``(tile, region)``: least ``d2 = dx*dx + dy*dy`` to
-    ``center + spec.region_anchor(name)``, ties to the lower id.
+    ``center + spec.region_anchor(name)``, ties to the lower id.  The pass
+    costs a fixed number of numpy calls whatever the number of regions.
     """
     ids = np.sort(np.asarray(ids, dtype=np.int64).reshape(-1))
     pts = as_points(points)[ids]
     tiles = tiling.tile_of_points(pts)
     keep = tiling.in_grid_mask(tiles)
     # A stable group-by over ascending ids keeps every tile's members ascending.
-    order, _, starts, members = sort_groups(tiles[keep, 1] * tiling.n_cols + tiles[keep, 0])
-    ids, pts, tiles = ids[keep][order], pts[keep][order], tiles[keep][order]
+    inside = np.flatnonzero(keep)
+    order, _, starts, members = sort_groups(tiles[inside] @ (1, tiling.n_cols))
+    inside = inside[order]
+    ids, pts, tiles = ids[inside], pts[inside], tiles[inside]
     slot = np.repeat(np.arange(starts.size), members)
 
-    cx = tiling.origin[0] + (tiles[:, 0] + 0.5) * tiling.tile_side
-    cy = tiling.origin[1] + (tiles[:, 1] + 0.5) * tiling.tile_side
-    masks = spec.classify_points(np.column_stack([pts[:, 0] - cx, pts[:, 1] - cy]))
+    centers = tiling.origin + (tiles + 0.5) * tiling.tile_side
+    masks = spec.classify_points(pts - centers)
 
     # Flatten (member, region) incidences into one election over the group
     # key slot * R + region.
-    names = list(spec.region_names)
-    n_tiles, n_regions = starts.size, len(names)
-    group_parts, d2_parts, id_parts = [], [], []
-    for j, name in enumerate(names):
-        hit = np.flatnonzero(masks[name])
-        anchor = spec.region_anchor(name)
-        dx = pts[hit, 0] - (cx[hit] + anchor[0])
-        dy = pts[hit, 1] - (cy[hit] + anchor[1])
-        group_parts.append(slot[hit] * n_regions + j)
-        d2_parts.append(dx * dx + dy * dy)
-        id_parts.append(ids[hit])
-    group, d2, cand = (np.concatenate(p) for p in (group_parts, d2_parts, id_parts))
+    n_tiles, n_regions = starts.size, len(masks)
+    region, hit = np.nonzero(np.stack([masks[name] for name in spec.region_names]))
+    offset = pts[hit] - (centers[hit] + spec.region_columns.anchors[region])
+    offset *= offset
+    d2 = offset[:, 0] + offset[:, 1]
+    group = slot[hit] * n_regions + region
+    cand = ids[hit]
     ranked = np.lexsort((cand, d2, group))
     group, cand = group[ranked], cand[ranked]
     winners = np.ones(group.size, dtype=bool)

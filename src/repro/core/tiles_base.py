@@ -24,9 +24,10 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.predicates import RegionPredicate
+from repro.geometry.predicates import DiscBatch, RegionPredicate
+from repro.geometry.primitives import as_points
 
-__all__ = ["TileSpec", "SpecDiagnostics", "DIRECTIONS"]
+__all__ = ["TileSpec", "SpecDiagnostics", "RegionColumns", "DIRECTIONS"]
 
 #: Tile directions in the fixed order used throughout the package.
 DIRECTIONS: Tuple[str, ...] = ("right", "left", "top", "bottom")
@@ -59,6 +60,20 @@ class SpecDiagnostics:
     empty_regions: Tuple[str, ...]
     guarantee_margins: Dict[str, float]
     notes: Tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class RegionColumns:
+    """Where each region sits in per-region arrays (``region_names`` order).
+
+    ``anchors`` is the read-only ``(R, 2)`` array of region anchors,
+    ``required`` the columns of ``required_regions`` (in that order) and
+    ``representative`` the column of the representative region.
+    """
+
+    anchors: np.ndarray
+    required: Tuple[int, ...]
+    representative: int
 
 
 class TileSpec:
@@ -107,10 +122,28 @@ class TileSpec:
     def _build_region_predicates(self) -> Mapping[str, RegionPredicate]:
         raise NotImplementedError
 
+    @cached_property
+    def _disc_batch(self) -> DiscBatch:
+        return DiscBatch.of(list(self.region_predicates().values()))
+
+    @cached_property
+    def region_columns(self) -> RegionColumns:
+        """The per-region column layout, built once per spec (like the predicates)."""
+        names = list(self.region_names)
+        anchors = np.array([self.region_anchor(name) for name in names], dtype=np.float64)
+        anchors.flags.writeable = False
+        return RegionColumns(
+            anchors=anchors.reshape(len(names), 2),
+            required=tuple(names.index(name) for name in self.required_regions),
+            representative=names.index(self.representative_region),
+        )
+
     def __getstate__(self) -> Dict[str, object]:
-        # The built predicates are not pickled; an unpickled spec rebuilds them.
+        # Built predicates and columns are not pickled; an unpickled spec
+        # rebuilds them.
         state = dict(self.__dict__)
-        state.pop("_region_predicates", None)
+        for built in ("_region_predicates", "_disc_batch", "region_columns"):
+            state.pop(built, None)
         return state
 
     def region_anchor(self, name: str) -> np.ndarray:
@@ -155,6 +188,16 @@ class TileSpec:
         Returns a mapping region name → boolean mask over ``local_points``.
         A point may belong to several regions (relay regions are allowed to
         overlap; the paper notes one point may fulfil two relay functions).
+        Each mask equals the region predicate's own ``contains``; a part
+        object that several regions share is tested once
+        (:meth:`~repro.geometry.predicates.RegionPredicate.contains_shared`),
+        and every disc among the regions and their parts in one broadcast
+        (:class:`~repro.geometry.predicates.DiscBatch`).
         """
-        preds = self.region_predicates()
-        return {name: pred.contains(local_points) for name, pred in preds.items()}
+        pts = as_points(local_points)
+        tested: Dict[int, np.ndarray] = {}
+        self._disc_batch.test(pts, tested)
+        return {
+            name: pred.contains_shared(pts, tested)
+            for name, pred in self.region_predicates().items()
+        }

@@ -143,18 +143,21 @@ class UDGTileSpec(TileSpec):
 
     def relay_region(self, direction: str) -> RegionPredicate:
         """The relay region towards ``direction`` (tile-local coordinates)."""
-        midpoint = self.edge_midpoint(direction)
-        annulus = AnnulusPredicate(
-            0.0, 0.0, inner=self.rep_radius, outer=self.connection_radius - self.rep_radius
-        )
-        near_edge = DiscPredicate(Disc(float(midpoint[0]), float(midpoint[1]), self.relay_reach))
-        inside_tile = RectPredicate(self.tile_rect())
-        return IntersectionPredicate([annulus, near_edge, inside_tile])
+        return self.region_predicates()[f"E_{direction}"]
 
     def _build_region_predicates(self) -> Mapping[str, RegionPredicate]:
         preds: Dict[str, RegionPredicate] = {"C0": DiscPredicate(Disc(0.0, 0.0, self.rep_radius))}
+        # Every relay region is the annulus around C0, cut to the tile, near
+        # one edge midpoint; one band object serves all four, so
+        # classify_points tests it once.
+        annulus = AnnulusPredicate(
+            0.0, 0.0, inner=self.rep_radius, outer=self.connection_radius - self.rep_radius
+        )
+        band = IntersectionPredicate([annulus, RectPredicate(self.tile_rect())])
         for direction in DIRECTIONS:
-            preds[f"E_{direction}"] = self.relay_region(direction)
+            mx, my = self.edge_midpoint(direction)
+            near_edge = DiscPredicate(Disc(float(mx), float(my), self.relay_reach))
+            preds[f"E_{direction}"] = IntersectionPredicate([band, near_edge])
         return preds
 
     def region_anchor(self, name: str) -> np.ndarray:

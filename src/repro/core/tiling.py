@@ -11,6 +11,7 @@ contained in the window are *interior* tiles and take part in the coupling
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -66,12 +67,15 @@ class Tiling:
             object.__setattr__(self, "origin", (self.window.xmin, self.window.ymin))
 
     # -- grid dimensions ------------------------------------------------------
-    @property
+    # cached_property writes the instance __dict__ directly, so the counts are
+    # computed once on the frozen dataclass and stay out of its fields: the
+    # tiling's equality and hash never see them.
+    @cached_property
     def n_cols(self) -> int:
         """Number of whole tiles that fit across the window horizontally."""
         return int(np.floor((self.window.xmax - self.origin[0]) / self.tile_side + 1e-9))
 
-    @property
+    @cached_property
     def n_rows(self) -> int:
         """Number of whole tiles that fit across the window vertically."""
         return int(np.floor((self.window.ymax - self.origin[1]) / self.tile_side + 1e-9))
@@ -132,19 +136,12 @@ class Tiling:
         only care about in-grid tiles should mask with :meth:`in_grid_mask`.
         """
         pts = as_points(points)
-        cols = np.floor((pts[:, 0] - self.origin[0]) / self.tile_side).astype(np.int64)
-        rows = np.floor((pts[:, 1] - self.origin[1]) / self.tile_side).astype(np.int64)
-        return np.column_stack([cols, rows])
+        return np.floor((pts - self.origin) / self.tile_side).astype(np.int64)
 
     def in_grid_mask(self, tile_indices: np.ndarray) -> np.ndarray:
         """Mask of tile indices lying inside the finite grid."""
         idx = np.asarray(tile_indices, dtype=np.int64)
-        return (
-            (idx[:, 0] >= 0)
-            & (idx[:, 0] < self.n_cols)
-            & (idx[:, 1] >= 0)
-            & (idx[:, 1] < self.n_rows)
-        )
+        return ((idx >= 0) & (idx < (self.n_cols, self.n_rows))).all(axis=1)
 
     def group_points_by_tile(self, points: np.ndarray) -> dict[TileIndex, np.ndarray]:
         """Map each in-grid tile index to the indices of the points inside it."""

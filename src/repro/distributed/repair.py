@@ -99,7 +99,7 @@ def decision_messages(
     counts, leaders, good = decisions.region_counts, decisions.leaders, decisions.good
     if select is not None:
         counts, leaders, good = counts[select], leaders[select], good[select]
-    rep = leaders[:, list(spec.region_names).index(spec.representative_region)]
+    rep = leaders[:, spec.region_columns.representative]
     # The representative's own column never differs from it, so it counts no
     # handshake.
     present = (leaders >= 0) & (leaders != rep[:, None]) & (rep >= 0)[:, None]

@@ -26,6 +26,7 @@ factory the consumers go through.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, List, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -165,6 +166,21 @@ def _canonical_pairs(owners: np.ndarray, members: np.ndarray) -> np.ndarray:
     owners, members = owners.take(keep), members.take(keep)
     rows = np.stack((np.minimum(owners, members), np.maximum(owners, members)), axis=-1)
     return kernel_ops.splice_edges([rows])
+
+
+@lru_cache(maxsize=64)
+def _cell_reach(cell_size: float, radius: float) -> int:
+    """:meth:`GridIndex._reach`: the least ``reach`` with ``reach·cell_size >= radius``, exactly."""
+    reach = int(np.ceil(radius / cell_size))
+    if reach * Fraction(cell_size) < Fraction(radius):
+        reach += 1
+    return reach
+
+
+@lru_cache(maxsize=64)
+def _ulp_above(radius: float) -> float:
+    """``nextafter(radius, inf) - radius``, remembered like :func:`_cell_reach`."""
+    return float(np.nextafter(radius, np.inf) - radius)
 
 
 def _stencil_axis(
@@ -534,12 +550,11 @@ class GridIndex(_IndexBase):
         The covering check ``reach·cell_size >= radius`` is therefore done in
         exact rational arithmetic — a float product has its own half-ULP
         window that can hide the shortfall.  The common exact-quotient case
-        (``cell_size == radius``) keeps its 3×3 scan.
+        (``cell_size == radius``) keeps its 3×3 scan.  The answer is
+        remembered per ``(cell_size, radius)``: a served daemon asks the same
+        pair on every tick.
         """
-        reach = int(np.ceil(radius / self.cell_size))
-        if reach * Fraction(self.cell_size) < Fraction(radius):
-            reach += 1
-        return reach
+        return _cell_reach(float(self.cell_size), float(radius))
 
     def _boundary_slack(
         self, coords: np.ndarray, keys: np.ndarray, radius: float
@@ -556,9 +571,8 @@ class GridIndex(_IndexBase):
         them, so the common 3×3 scan is untouched.
         """
         cell = self.cell_size
-        r_ulp = np.nextafter(radius, np.inf) - radius
-        c_ulp = np.nextafter(np.abs(coords), np.inf) - np.abs(coords)
-        guard = 2.0 * (r_ulp + c_ulp)
+        # np.spacing(|c|) is nextafter(|c|, inf) - |c|, the ULP above |c|.
+        guard = 2.0 * (_ulp_above(float(radius)) + np.spacing(np.abs(coords)))
         lo = coords - keys * cell <= guard
         hi = (keys + 1.0) * cell - coords <= guard
         return lo, hi

@@ -20,7 +20,7 @@ anchor's boundary), evaluated against a dense boundary sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from repro.geometry.primitives import Disc, Rect, as_points
 __all__ = [
     "RegionPredicate",
     "DiscPredicate",
+    "DiscBatch",
     "AnnulusPredicate",
     "RectPredicate",
     "HalfPlanePredicate",
@@ -57,6 +58,19 @@ class RegionPredicate:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.contains(points)
+
+    def contains_shared(self, points: np.ndarray, tested: Dict[int, np.ndarray]) -> np.ndarray:
+        """:meth:`contains` over ``(n, 2)`` ``points``, tested once per predicate object.
+
+        ``tested`` maps ``id(predicate)`` to its mask over these same
+        ``points``; it is filled as predicates are tested, so regions that
+        share a part object (an intersection's band, say) pay for it once.
+        The returned mask may be shared: treat it as read-only.
+        """
+        mask = tested.get(id(self))
+        if mask is None:
+            mask = tested[id(self)] = self.contains(points)
+        return mask
 
     # -- composition helpers ------------------------------------------------
     def intersect(self, other: "RegionPredicate") -> "IntersectionPredicate":
@@ -115,6 +129,42 @@ class DiscPredicate(RegionPredicate):
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         return self.disc.contains(points)
+
+
+class DiscBatch:
+    """Several closed discs tested against the same points in one broadcast.
+
+    :meth:`test` fills ``tested`` (see :meth:`RegionPredicate.contains_shared`)
+    with every disc's mask; row ``j`` is the very float computation of
+    ``discs[j].contains``, so it equals that mask bit for bit.
+    """
+
+    def __init__(self, discs: Sequence[DiscPredicate]) -> None:
+        self.discs = tuple(discs)
+        self._cx = np.array([[p.disc.cx] for p in self.discs], dtype=np.float64)
+        self._cy = np.array([[p.disc.cy] for p in self.discs], dtype=np.float64)
+        self._r2 = np.array([[p.disc.radius**2 + 1e-12] for p in self.discs], dtype=np.float64)
+
+    def test(self, pts: np.ndarray, tested: Dict[int, np.ndarray]) -> None:
+        """Record each disc's mask over the ``(n, 2)`` array ``pts`` in ``tested``."""
+        if not self.discs:
+            return
+        inside = (pts[:, 0] - self._cx) ** 2 + (pts[:, 1] - self._cy) ** 2 <= self._r2
+        for disc, row in zip(self.discs, inside):
+            tested[id(disc)] = row
+
+    @classmethod
+    def of(cls, predicates: Sequence[RegionPredicate]) -> "DiscBatch":
+        """Every distinct disc among ``predicates`` and their intersections' parts."""
+        found: Dict[int, DiscPredicate] = {}
+        pending = list(predicates)
+        while pending:
+            pred = pending.pop(0)
+            if isinstance(pred, DiscPredicate):
+                found.setdefault(id(pred), pred)
+            elif isinstance(pred, IntersectionPredicate):
+                pending.extend(pred.parts)
+        return cls(list(found.values()))
 
 
 @dataclass
@@ -192,12 +242,21 @@ class IntersectionPredicate(RegionPredicate):
         self.bounds = _intersect_bounds([p.bounds for p in self.parts])
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = as_points(points)
-        mask = np.ones(len(pts), dtype=bool)
-        for part in self.parts:
+        return self._intersect(as_points(points), {})
+
+    def contains_shared(self, points: np.ndarray, tested: Dict[int, np.ndarray]) -> np.ndarray:
+        mask = tested.get(id(self))
+        if mask is None:
+            mask = tested[id(self)] = self._intersect(points, tested)
+        return mask
+
+    def _intersect(self, pts: np.ndarray, tested: Dict[int, np.ndarray]) -> np.ndarray:
+        first, *rest = self.parts
+        mask = first.contains_shared(pts, tested).copy()
+        for part in rest:
             if not mask.any():
                 break
-            mask &= part.contains(pts)
+            mask &= part.contains_shared(pts, tested)
         return mask
 
 

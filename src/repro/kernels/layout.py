@@ -114,9 +114,8 @@ def sort_groups(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, n
     if n == 0:
         empty = np.zeros(0, dtype=ROW_IDS.dtype)
         return order.astype(np.int64), keys[:0], empty, empty
-    firsts = np.nonzero(np.diff(sorted_keys))[0] + 1
-    starts = np.concatenate([[0], firsts]).astype(np.int64)
-    counts = np.diff(np.append(starts, n)).astype(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    counts = np.diff(starts, append=n)
     return order, sorted_keys[starts], starts, counts
 
 

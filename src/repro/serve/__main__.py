@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_TICK_INTERVAL,
         help="seconds the daemon sleeps between applied ticks; an update's reply "
         "waits for the next tick, so this sets most of its latency, and each tick "
-        "costs daemon CPU (default: %(default)s)",
+        "costs daemon CPU; the 20 ms default is what the tick's fixed cost "
+        "affords (default: %(default)s)",
     )
     daemon.add_argument(
         "--high-water",

@@ -166,8 +166,9 @@ def coalesce_events(
 
 
 #: Default tick interval in seconds: the TCP daemon's sleep between flushes
-#: and every ``retry_after`` hint (why 30 ms: see ``ServeSession``).
-DEFAULT_TICK_INTERVAL = 0.03
+#: and every ``retry_after`` hint (why 20 ms: see the ``repro.serve.server``
+#: module docstring).
+DEFAULT_TICK_INTERVAL = 0.02
 #: Default pending-event bound before backpressure refusals.
 DEFAULT_HIGH_WATER = 50_000
 

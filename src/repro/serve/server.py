@@ -22,11 +22,15 @@ Two transports drive the session:
   queue).
 
   An update's reply waits for the next tick, so the interval sets most of
-  the update latency, and every tick pays a fixed cost in daemon CPU.  The
-  default, 30 ms, is what that fixed cost affords: the tracker rewrites only
-  the rows of nodes whose edges changed and the index patches its bulk view
-  in place, so 30 ms ticks cost the daemon about the CPU that 50 ms ticks
-  did before those cuts, and an update's reply takes about 0.6 of the time.
+  the update latency, and every tick pays a fixed cost in daemon CPU: the
+  flush, and the event-loop wake-up and reply write around it.  The
+  default, 20 ms, is what that fixed cost affords: a tick's tile decisions
+  take a fixed number of numpy calls (shared region tests, cached region
+  columns and tiling counts) and the index caches its stencil reach, so a
+  1-event flush costs about a quarter less than at the former 30 ms
+  default.  A 15 ms tick would cut the update latency further, but it cost
+  the daemon 16–19% more CPU on serve-churn.  A failing tick stops the
+  daemon loudly (see :meth:`ServeDaemon.serve_forever`).
 * :func:`run_stdio` — the deterministic replay transport behind
   ``python -m repro.serve --stdio``.  Ticks fire only on explicit
   ``{"op": "tick"}`` lines (and before reads / at EOF), so a recorded
@@ -39,7 +43,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 import pathlib
-from typing import TYPE_CHECKING, Any, Callable, Dict, IO, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, IO, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -100,7 +104,7 @@ class ServeSession:
         The served :class:`LiveWorld`.
     tick_interval:
         The TCP timer's sleep between flushes, by default
-        :data:`~repro.serve.batching.DEFAULT_TICK_INTERVAL` (30 ms: short
+        :data:`~repro.serve.batching.DEFAULT_TICK_INTERVAL` (20 ms: short
         enough that an update's reply waits little, long enough that the
         per-tick fixed cost stays a small share of the daemon's CPU); also
         the ``retry_after`` hint of a refused event.
@@ -374,6 +378,7 @@ class ServeDaemon:
         self.host = host
         self.port = port
         self._writers: Dict[int, asyncio.StreamWriter] = {}
+        self._clients: Set[asyncio.StreamWriter] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopping: Optional[asyncio.Event] = None
 
@@ -384,18 +389,35 @@ class ServeDaemon:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
-        """Run listener + tick loop until a ``shutdown`` op arrives."""
+        """Run listener + tick loop until a ``shutdown`` op arrives.
+
+        A tick that raises (a world that fails to apply, an injected
+        :class:`~repro.faults.plan.ServeKilled`) stops the daemon: every
+        connection closes, nothing more is applied and the error re-raises
+        here, so no client is answered from a world that stopped ticking.
+        """
         if self._server is None:
             await self.start()
         assert self._server is not None and self._stopping is not None
         tick_task = asyncio.ensure_future(self._tick_loop())
+        stop_task = asyncio.ensure_future(self._stopping.wait())
+        tick_failed = False
         try:
-            await self._stopping.wait()
+            await asyncio.wait((tick_task, stop_task), return_when=asyncio.FIRST_COMPLETED)
+            if tick_task.done():
+                tick_failed = tick_task.exception() is not None
+                tick_task.result()
+            await stop_task
         finally:
             tick_task.cancel()
+            stop_task.cancel()
             self._server.close()
+            if tick_failed:
+                for writer in self._clients:
+                    writer.close()
             await self._server.wait_closed()
-            await self._flush_replies()  # drain what the last tick owes
+            if not tick_failed:
+                await self._flush_replies()  # drain what the last tick owes
 
     async def _tick_loop(self) -> None:
         while self.session.running:
@@ -423,6 +445,7 @@ class ServeDaemon:
     async def _on_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._clients.add(writer)
         try:
             while True:
                 raw = await reader.readline()
@@ -445,6 +468,7 @@ class ServeDaemon:
         except ConnectionError:
             pass
         finally:
+            self._clients.discard(writer)
             stale = [seq for seq, w in self._writers.items() if w is writer]
             for seq in stale:
                 del self._writers[seq]

@@ -36,6 +36,38 @@ class TestGridDimensions:
         assert t.tile_rect((0, 0)).xmin == 1.0
 
 
+class TestCachedDimensions:
+    """``n_cols`` / ``n_rows`` are computed once and stay out of equality and hash."""
+
+    @pytest.mark.parametrize(
+        "window, side, origin",
+        [
+            (Rect(0, 0, 10, 6), 2.0, None),
+            (Rect(0, 0, 10.9, 6.5), 2.0, None),
+            (Rect(-3.5, 2.0, 11.2, 11.2), 4.0 / 3.0, None),
+            (Rect(0, 0, 15, 15), 4.0 / 3.0, (0.5, -0.25)),
+            (Rect(0, 0, 1e3, 7.0), 8.93, (-1.0, 3.0)),
+            (Rect(0, 0, 1, 1), 2.0, None),
+        ],
+    )
+    def test_counts_equal_the_formula(self, window, side, origin):
+        t = Tiling(window=window, tile_side=side, origin=origin)
+        ox, oy = t.origin
+        assert t.n_cols == int(np.floor((window.xmax - ox) / side + 1e-9))
+        assert t.n_rows == int(np.floor((window.ymax - oy) / side + 1e-9))
+        assert (t.n_cols, t.n_rows) == (t.n_cols, t.n_rows)  # a second read agrees
+        assert t.shape == (t.n_rows, t.n_cols)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        read = Tiling(window=Rect(0, 0, 15, 15), tile_side=4.0 / 3.0)
+        fresh = Tiling(window=Rect(0, 0, 15, 15), tile_side=4.0 / 3.0)
+        _ = read.n_cols, read.n_rows
+        assert "n_cols" in vars(read) and "n_cols" not in vars(fresh)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert hash(read) == hash((read.window, read.tile_side, read.origin))
+        assert read != Tiling(window=Rect(0, 0, 15, 15), tile_side=1.0)
+
+
 class TestTileGeometry:
     def test_tile_rect(self, tiling):
         r = tiling.tile_rect((2, 1))

@@ -199,3 +199,54 @@ def test_tcp_daemon_round_trip(rng):
     assert digest_reply["id"] == "d" and len(digest_reply["digest"]) == 64
     assert stop_reply["stopping"] is True
     assert session.world.applied_seq == 2
+
+
+def _kill_first_tick(session):
+    from repro.faults.plan import KILL, Fault, FaultInjector, FaultPlan
+
+    session.injector = FaultInjector(FaultPlan([Fault("serve.tick", 0, KILL)]))
+
+
+def _break_apply(session):
+    def apply(batch):
+        raise RuntimeError("world failed to apply")
+
+    session.world.apply = apply
+
+
+@pytest.mark.parametrize(
+    "fail, error",
+    [(_kill_first_tick, "ServeKilled"), (_break_apply, "RuntimeError")],
+    ids=["injected-kill", "apply-raises"],
+)
+def test_tcp_daemon_stops_loudly_when_a_tick_fails(rng, fail, error):
+    """A failing tick closes every connection and re-raises from serve_forever."""
+    import asyncio
+
+    from repro.serve.server import ServeDaemon
+
+    session = ServeSession(
+        LiveWorld(rng.uniform(0.0, 15.0, size=(40, 2)), WorldConfig()), tick_interval=0.01
+    )
+    fail(session)
+    daemon = ServeDaemon(session, port=0)
+
+    async def scenario():
+        await daemon.start()
+        server_task = asyncio.ensure_future(daemon.serve_forever())
+        reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
+        writer.write(b'{"op": "move", "node": 0, "position": [1.0, 1.0]}\n')
+        await writer.drain()
+        # No reply ever comes for the update: the daemon hangs up instead.
+        tail = await asyncio.wait_for(reader.read(), timeout=5)
+        writer.close()
+        try:
+            await asyncio.wait_for(server_task, timeout=5)
+        except Exception as err:  # the tick's own error, re-raised
+            return tail, err
+        return tail, None
+
+    tail, err = asyncio.run(scenario())
+    assert tail == b""
+    assert type(err).__name__ == error
+    assert session.world.applied_seq == 0
