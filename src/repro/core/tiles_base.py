@@ -24,7 +24,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.predicates import DiscBatch, RegionPredicate
+from repro.geometry.predicates import RegionPredicate
 from repro.geometry.primitives import as_points
 
 __all__ = ["TileSpec", "SpecDiagnostics", "RegionColumns", "DIRECTIONS"]
@@ -123,10 +123,6 @@ class TileSpec:
         raise NotImplementedError
 
     @cached_property
-    def _disc_batch(self) -> DiscBatch:
-        return DiscBatch.of(list(self.region_predicates().values()))
-
-    @cached_property
     def region_columns(self) -> RegionColumns:
         """The per-region column layout, built once per spec (like the predicates)."""
         names = list(self.region_names)
@@ -142,7 +138,7 @@ class TileSpec:
         # Built predicates and columns are not pickled; an unpickled spec
         # rebuilds them.
         state = dict(self.__dict__)
-        for built in ("_region_predicates", "_disc_batch", "region_columns"):
+        for built in ("_region_predicates", "region_columns"):
             state.pop(built, None)
         return state
 
@@ -190,13 +186,10 @@ class TileSpec:
         overlap; the paper notes one point may fulfil two relay functions).
         Each mask equals the region predicate's own ``contains``; a part
         object that several regions share is tested once
-        (:meth:`~repro.geometry.predicates.RegionPredicate.contains_shared`),
-        and every disc among the regions and their parts in one broadcast
-        (:class:`~repro.geometry.predicates.DiscBatch`).
+        (:meth:`~repro.geometry.predicates.RegionPredicate.contains_shared`).
         """
         pts = as_points(local_points)
         tested: Dict[int, np.ndarray] = {}
-        self._disc_batch.test(pts, tested)
         return {
             name: pred.contains_shared(pts, tested)
             for name, pred in self.region_predicates().items()

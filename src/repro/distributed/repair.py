@@ -29,7 +29,9 @@ one stream between both consumers) and, per :meth:`~DistributedRepairEngine.upda
 3. **Re-splices only the overlay edges of tile pairs whose endpoints
    changed** (representative, relays or goodness), via
    :func:`~repro.core.overlay.cross_tile_edges`; edges between two
-   untouched good tiles are never revisited.
+   untouched good tiles are never revisited.  The overlay's node
+   adjacency (:attr:`~DistributedRepairEngine.adjacency`) is patched with
+   each re-spliced pair's edges, so a route search never rebuilds it.
 
 Everything runs in stable *node-id* space, so results remain comparable
 across arrivals and failures; a from-scratch ``distributed_build`` over the
@@ -52,9 +54,10 @@ of the construction's geometry (checked by the simulated
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -180,6 +183,11 @@ class DistributedRepairEngine:
         self._outcome: Dict[TileIndex, _Outcome] = {}
         #: (tile, direction) → spliced overlay edges of that good pair.
         self._pair_edges: Dict[Tuple[TileIndex, str], List[Tuple[int, int]]] = {}
+        #: overlay edge → number of pair fragments that carry it (two pairs
+        #: share an edge when one point fulfils two relay functions).
+        self._edge_refs: Dict[Tuple[int, int], int] = {}
+        #: node id → its overlay neighbours, ascending (nodes with ≥ 1 edge).
+        self._adjacency: Dict[int, List[int]] = {}
         #: The spliced :meth:`result`, memoised until an update changes a tile.
         self._result: Optional[DistributedBuildResult] = None
 
@@ -232,15 +240,40 @@ class DistributedRepairEngine:
         good_a, rep_a, relays_a = self._outcome.get(tile, _NO_OUTCOME)
         good_b, rep_b, relays_b = self._outcome.get((tile[0] + dc, tile[1] + dr), _NO_OUTCOME)
         key = (tile, direction)
-        if not (good_a and good_b):
-            self._pair_edges.pop(key, None)
-            return False
-        edges, (u, v) = cross_tile_edges(self.spec, direction, rep_a, relays_a, rep_b, relays_b)
-        self._pair_edges[key] = edges
-        if u != v:
-            self._count("border-request", 1)
-            self._count("border-ack", 1)
-        return True
+        old = self._pair_edges.pop(key, [])
+        live = bool(good_a and good_b)
+        edges: List[Tuple[int, int]] = []
+        if live:
+            edges, (u, v) = cross_tile_edges(self.spec, direction, rep_a, relays_a, rep_b, relays_b)
+            self._pair_edges[key] = edges
+            if u != v:
+                self._count("border-request", 1)
+                self._count("border-ack", 1)
+        if edges != old:
+            for edge in old:
+                self._unlink(edge)
+            for edge in edges:
+                self._link(edge)
+        return live
+
+    def _link(self, edge: Tuple[int, int]) -> None:
+        refs = self._edge_refs.get(edge, 0)
+        self._edge_refs[edge] = refs + 1
+        if not refs:
+            u, v = edge
+            insort(self._adjacency.setdefault(u, []), v)
+            insort(self._adjacency.setdefault(v, []), u)
+
+    def _unlink(self, edge: Tuple[int, int]) -> None:
+        refs = self._edge_refs.pop(edge) - 1
+        if refs:
+            self._edge_refs[edge] = refs
+            return
+        for a, b in (edge, edge[::-1]):
+            row = self._adjacency[a]
+            row.remove(b)
+            if not row:
+                del self._adjacency[a]
 
     # -- repair ----------------------------------------------------------------
     def update(
@@ -314,6 +347,21 @@ class DistributedRepairEngine:
         )
 
     # -- views -----------------------------------------------------------------
+    @property
+    def adjacency(self) -> Mapping[int, List[int]]:
+        """Node id → its neighbours in the current overlay, ascending.
+
+        Kept up to date as pairs are re-spliced, so reading it never
+        re-splices the overlay; nodes without overlay edges are absent.
+        Equal to the rows of ``result().edges``; treat it as read-only.
+        """
+        return self._adjacency
+
+    def representative(self, tile: TileIndex) -> Optional[int]:
+        """The representative of a good ``tile``, ``None`` for any other tile."""
+        good, rep, _ = self._outcome.get(tile, _NO_OUTCOME)
+        return rep if good else None
+
     def result(self) -> DistributedBuildResult:
         """The current spliced build, in stable node-id space.
 
@@ -328,11 +376,9 @@ class DistributedRepairEngine:
         read-only.
         """
         if self._result is None:
-            # Canonical sorted unique pairs from the per-(tile, direction) edge
-            # fragments, pooled into one list so the splice_edges kernel makes
-            # one conversion instead of one per fragment.
-            pooled = list(chain.from_iterable(self._pair_edges.values()))
-            edge_array = kernel_ops.splice_edges([pooled])
+            # Canonical sorted pairs from the distinct edges of the per-(tile,
+            # direction) fragments, in one splice_edges conversion.
+            edge_array = kernel_ops.splice_edges([list(self._edge_refs)])
             good_tiles = sorted(tile for tile, (good, _, _) in self._outcome.items() if good)
             self._result = DistributedBuildResult(
                 edges=edge_array,

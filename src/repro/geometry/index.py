@@ -177,12 +177,6 @@ def _cell_reach(cell_size: float, radius: float) -> int:
     return reach
 
 
-@lru_cache(maxsize=64)
-def _ulp_above(radius: float) -> float:
-    """``nextafter(radius, inf) - radius``, remembered like :func:`_cell_reach`."""
-    return float(np.nextafter(radius, np.inf) - radius)
-
-
 def _stencil_axis(
     keys: np.ndarray, reach: int, span: int, lo: np.ndarray, hi: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -571,8 +565,8 @@ class GridIndex(_IndexBase):
         them, so the common 3×3 scan is untouched.
         """
         cell = self.cell_size
-        # np.spacing(|c|) is nextafter(|c|, inf) - |c|, the ULP above |c|.
-        guard = 2.0 * (_ulp_above(float(radius)) + np.spacing(np.abs(coords)))
+        # np.spacing(x) is nextafter(x, inf) - x, the ULP above x >= 0.
+        guard = 2.0 * (np.spacing(radius) + np.spacing(np.abs(coords)))
         lo = coords - keys * cell <= guard
         hi = (keys + 1.0) * cell - coords <= guard
         return lo, hi

@@ -29,7 +29,6 @@ from repro.geometry.primitives import Disc, Rect, as_points
 __all__ = [
     "RegionPredicate",
     "DiscPredicate",
-    "DiscBatch",
     "AnnulusPredicate",
     "RectPredicate",
     "HalfPlanePredicate",
@@ -129,42 +128,6 @@ class DiscPredicate(RegionPredicate):
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         return self.disc.contains(points)
-
-
-class DiscBatch:
-    """Several closed discs tested against the same points in one broadcast.
-
-    :meth:`test` fills ``tested`` (see :meth:`RegionPredicate.contains_shared`)
-    with every disc's mask; row ``j`` is the very float computation of
-    ``discs[j].contains``, so it equals that mask bit for bit.
-    """
-
-    def __init__(self, discs: Sequence[DiscPredicate]) -> None:
-        self.discs = tuple(discs)
-        self._cx = np.array([[p.disc.cx] for p in self.discs], dtype=np.float64)
-        self._cy = np.array([[p.disc.cy] for p in self.discs], dtype=np.float64)
-        self._r2 = np.array([[p.disc.radius**2 + 1e-12] for p in self.discs], dtype=np.float64)
-
-    def test(self, pts: np.ndarray, tested: Dict[int, np.ndarray]) -> None:
-        """Record each disc's mask over the ``(n, 2)`` array ``pts`` in ``tested``."""
-        if not self.discs:
-            return
-        inside = (pts[:, 0] - self._cx) ** 2 + (pts[:, 1] - self._cy) ** 2 <= self._r2
-        for disc, row in zip(self.discs, inside):
-            tested[id(disc)] = row
-
-    @classmethod
-    def of(cls, predicates: Sequence[RegionPredicate]) -> "DiscBatch":
-        """Every distinct disc among ``predicates`` and their intersections' parts."""
-        found: Dict[int, DiscPredicate] = {}
-        pending = list(predicates)
-        while pending:
-            pred = pending.pop(0)
-            if isinstance(pred, DiscPredicate):
-                found.setdefault(id(pred), pred)
-            elif isinstance(pred, IntersectionPredicate):
-                pending.extend(pred.parts)
-        return cls(list(found.values()))
 
 
 @dataclass

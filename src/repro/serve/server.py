@@ -25,12 +25,14 @@ Two transports drive the session:
   the update latency, and every tick pays a fixed cost in daemon CPU: the
   flush, and the event-loop wake-up and reply write around it.  The
   default, 20 ms, is what that fixed cost affords: a tick's tile decisions
-  take a fixed number of numpy calls (shared region tests, cached region
-  columns and tiling counts) and the index caches its stencil reach, so a
-  1-event flush costs about a quarter less than at the former 30 ms
-  default.  A 15 ms tick would cut the update latency further, but it cost
-  the daemon 16–19% more CPU on serve-churn.  A failing tick stops the
-  daemon loudly (see :meth:`ServeDaemon.serve_forever`).
+  take a fixed number of numpy calls (shared region parts tested once,
+  cached region columns and tiling counts), and a ``route`` query reads
+  the overlay adjacency the repair engine keeps current instead of
+  re-splicing the overlay after every tick that changed a tile.  Together
+  they keep the daemon's CPU on serve-churn level with the former 30 ms
+  default.  A shorter tick would cut the update latency further, at more
+  daemon CPU per second.  A failing tick stops the daemon loudly (see
+  :meth:`ServeDaemon.serve_forever`).
 * :func:`run_stdio` — the deterministic replay transport behind
   ``python -m repro.serve --stdio``.  Ticks fire only on explicit
   ``{"op": "tick"}`` lines (and before reads / at EOF), so a recorded
@@ -381,6 +383,7 @@ class ServeDaemon:
         self._clients: Set[asyncio.StreamWriter] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopping: Optional[asyncio.Event] = None
+        self._failure: Optional[Exception] = None
 
     async def start(self) -> None:
         """Bind the listener (resolving port 0 to the chosen ephemeral port)."""
@@ -392,37 +395,45 @@ class ServeDaemon:
         """Run listener + tick loop until a ``shutdown`` op arrives.
 
         A tick that raises (a world that fails to apply, an injected
-        :class:`~repro.faults.plan.ServeKilled`) stops the daemon: every
-        connection closes, nothing more is applied and the error re-raises
-        here, so no client is answered from a world that stopped ticking.
+        :class:`~repro.faults.plan.ServeKilled`), whether the timer or a
+        client's ``tick`` op drove it, stops the daemon: every connection
+        closes, nothing more is applied and the error re-raises here, so no
+        client is answered from a world that stopped ticking.
         """
         if self._server is None:
             await self.start()
         assert self._server is not None and self._stopping is not None
         tick_task = asyncio.ensure_future(self._tick_loop())
-        stop_task = asyncio.ensure_future(self._stopping.wait())
-        tick_failed = False
         try:
-            await asyncio.wait((tick_task, stop_task), return_when=asyncio.FIRST_COMPLETED)
-            if tick_task.done():
-                tick_failed = tick_task.exception() is not None
-                tick_task.result()
-            await stop_task
+            await self._stopping.wait()
         finally:
             tick_task.cancel()
-            stop_task.cancel()
             self._server.close()
-            if tick_failed:
+            if self._failure is not None:
                 for writer in self._clients:
                     writer.close()
             await self._server.wait_closed()
-            if not tick_failed:
+            if self._failure is None:
                 await self._flush_replies()  # drain what the last tick owes
+        if self._failure is not None:
+            raise self._failure
 
     async def _tick_loop(self) -> None:
         while self.session.running:
             await asyncio.sleep(self.session.batcher.tick_interval)
+            if not await self._tick():
+                return
+
+    async def _tick(self) -> bool:
+        """Flush one tick; on failure record the error, stop the daemon, return False."""
+        try:
             await self._flush_replies()
+        except Exception as err:
+            assert self._stopping is not None
+            self._failure = err
+            self._stopping.set()
+            return False
+        return True
 
     async def _flush_replies(self) -> None:
         """Apply the pending tick and send each connection its replies in one write."""
@@ -455,7 +466,8 @@ class ServeDaemon:
                 if result.event is not None:
                     self._writers[result.event.seq] = writer
                 if result.flush_requested:
-                    await self._flush_replies()
+                    if not await self._tick():
+                        break
                     writer.write(self.session.tick_ack(result.client_id).encode() + b"\n")
                     await writer.drain()
                 elif result.immediate is not None:

@@ -12,8 +12,8 @@ Every query answers from those maintained structures:
 * ``neighbours`` at the UDG radius is the node's row of the tracker's
   directed edge store; at any other radius it is one ball query
   on the live index.
-* ``route`` is a BFS over a CSR adjacency of the engine's spliced overlay,
-  rebuilt only when the engine re-splices (a repair changed some tile).
+* ``route`` is a BFS over the engine's overlay adjacency, which the engine
+  keeps current pair by pair as it re-splices, so no query rebuilds it.
 * ``coverage`` is one bulk ball count on the live index, whose cell view is
   current after every tick.
 * ``digest`` hashes the canonical state plus the maintained edge sets,
@@ -36,17 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import hashlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.tiles_udg import UDGTileSpec
-from repro.distributed.construct import DistributedBuildResult
 from repro.distributed.repair import DistributedRepairEngine, RepairReport
 from repro.dynamics.incremental import DynamicSpatialIndex
 from repro.dynamics.topology import EdgeDiff, TopologyTracker
 from repro.geometry.primitives import Rect, as_points
-from repro.graphs.base import csr_adjacency
 from repro.serve.batching import CoalescedBatch
 from repro.serve.protocol import encode_json
 
@@ -171,8 +169,6 @@ class LiveWorld:
         self.index = DynamicSpatialIndex(pts, radius=config.udg_radius)
         self.tracker = TopologyTracker(self.index, config.udg_radius)
         self.engine = DistributedRepairEngine(self.index, self.spec, config.window)
-        self._route_overlay: Optional[DistributedBuildResult] = None
-        self._route_adjacency: Tuple[List[int], List[int]] = ([0], [])
 
     # -- applying ticks -----------------------------------------------------
     @property
@@ -247,21 +243,6 @@ class LiveWorld:
             raise ValueError(f"node id {int(node)} is not alive")
         return self.tracker.neighbours(int(node)).tolist()
 
-    def _overlay_adjacency(self) -> Tuple[List[int], List[int]]:
-        """CSR ``(indptr, indices)`` of the spliced overlay, rebuilt only when the engine re-splices.
-
-        Keyed on the identity of ``engine.result()``, which stays the same
-        object until a repair changes some tile's outcome.  There is one
-        ascending row per id allocated so far, which covers every node of
-        the overlay (ids only ever grow).
-        """
-        overlay = self.engine.result()
-        if overlay is not self._route_overlay:
-            indptr, indices = csr_adjacency(overlay.edges, len(self.index.id_positions()))
-            self._route_adjacency = (indptr.tolist(), indices.tolist())
-            self._route_overlay = overlay
-        return self._route_adjacency
-
     def route(self, source: int, target: int) -> Dict[str, Any]:
         """Shortest-hop route between two nodes over the maintained overlay.
 
@@ -275,21 +256,20 @@ class LiveWorld:
         for name, node in (("source", source), ("target", target)):
             if not self.index.is_alive(int(node)):
                 raise ValueError(f"{name} node {node} is not alive")
-        overlay = self.engine.result()
-        reps = overlay.representatives
+        engine = self.engine
         ends = self.index.id_positions()[[int(source), int(target)]]
-        src_tile, tgt_tile = map(tuple, self.engine.tiling.tile_of_points(ends).tolist())
-        if src_tile not in reps or tgt_tile not in reps:
-            bad = src_tile if src_tile not in reps else tgt_tile
+        src_tile, tgt_tile = map(tuple, engine.tiling.tile_of_points(ends).tolist())
+        src_rep, tgt_rep = engine.representative(src_tile), engine.representative(tgt_tile)
+        if src_rep is None or tgt_rep is None:
+            bad = src_tile if src_rep is None else tgt_tile
             return {"success": False, "reason": f"tile {list(bad)} is not good"}
-        src_rep, tgt_rep = reps[src_tile], reps[tgt_tile]
-        indptr, indices = self._overlay_adjacency()
+        adjacency = engine.adjacency
         parents: Dict[int, int] = {src_rep: src_rep}
         frontier = [src_rep]
         while frontier and tgt_rep not in parents:
             next_frontier: List[int] = []
             for node in frontier:
-                for nbr in indices[indptr[node] : indptr[node + 1]]:
+                for nbr in adjacency.get(node, ()):
                     if nbr not in parents:
                         parents[nbr] = node
                         next_frontier.append(nbr)
@@ -369,8 +349,6 @@ class LiveWorld:
         world.index.consume_dirty()
         world.tracker = TopologyTracker(world.index, config.udg_radius)
         world.engine = DistributedRepairEngine(world.index, world.spec, config.window)
-        world._route_overlay = None
-        world._route_adjacency = ([0], [])
         return world
 
     def digest(self) -> str:

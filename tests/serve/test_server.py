@@ -214,19 +214,25 @@ def _break_apply(session):
     session.world.apply = apply
 
 
+@pytest.mark.parametrize("driver", ["timer", "tick-op"])
 @pytest.mark.parametrize(
     "fail, error",
     [(_kill_first_tick, "ServeKilled"), (_break_apply, "RuntimeError")],
     ids=["injected-kill", "apply-raises"],
 )
-def test_tcp_daemon_stops_loudly_when_a_tick_fails(rng, fail, error):
-    """A failing tick closes every connection and re-raises from serve_forever."""
+def test_tcp_daemon_stops_loudly_when_a_tick_fails(rng, fail, error, driver):
+    """A failing tick closes every connection and re-raises from serve_forever.
+
+    The timer drives the tick on a 10 ms interval; with ``tick-op`` the timer
+    never fires within the test and a client's explicit ``tick`` op drives it.
+    """
     import asyncio
 
     from repro.serve.server import ServeDaemon
 
     session = ServeSession(
-        LiveWorld(rng.uniform(0.0, 15.0, size=(40, 2)), WorldConfig()), tick_interval=0.01
+        LiveWorld(rng.uniform(0.0, 15.0, size=(40, 2)), WorldConfig()),
+        tick_interval=0.01 if driver == "timer" else 3600.0,
     )
     fail(session)
     daemon = ServeDaemon(session, port=0)
@@ -234,19 +240,26 @@ def test_tcp_daemon_stops_loudly_when_a_tick_fails(rng, fail, error):
     async def scenario():
         await daemon.start()
         server_task = asyncio.ensure_future(daemon.serve_forever())
+        idle_reader, idle_writer = await asyncio.open_connection("127.0.0.1", daemon.port)
         reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
         writer.write(b'{"op": "move", "node": 0, "position": [1.0, 1.0]}\n')
+        if driver == "tick-op":
+            writer.write(b'{"op": "tick"}\n')
         await writer.drain()
-        # No reply ever comes for the update: the daemon hangs up instead.
-        tail = await asyncio.wait_for(reader.read(), timeout=5)
+        # No reply ever comes for the update or the tick: the daemon hangs up
+        # on every connection instead.
+        tails = [
+            await asyncio.wait_for(r.read(), timeout=5) for r in (reader, idle_reader)
+        ]
         writer.close()
+        idle_writer.close()
         try:
             await asyncio.wait_for(server_task, timeout=5)
         except Exception as err:  # the tick's own error, re-raised
-            return tail, err
-        return tail, None
+            return tails, err
+        return tails, None
 
-    tail, err = asyncio.run(scenario())
-    assert tail == b""
+    tails, err = asyncio.run(scenario())
+    assert tails == [b"", b""]
     assert type(err).__name__ == error
     assert session.world.applied_seq == 0

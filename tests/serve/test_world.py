@@ -190,14 +190,16 @@ class TestMemoisedOverlay:
             assert world.route(source, target) == clone.route(source, target)
 
     def test_kept_adjacency_equals_a_fresh_build_over_a_storm(self):
+        """The engine's overlay adjacency, kept up to date per re-spliced pair,
+        equals one built from the spliced edges after every tick of a storm."""
         rng = np.random.default_rng(23)
         side = 8.0
         world = LiveWorld(
             rng.uniform(0.0, side, size=(700, 2)), WorldConfig(window_xmax=side, window_ymax=side)
         )
         batcher = TickBatcher()
-        ticks, rebuilds = 40, 0
-        overlay, adjacency = world.engine.result(), world._overlay_adjacency()
+        ticks, resplices = 40, 0
+        overlay = world.engine.result()
         for _ in range(ticks):
             alive = world.index.ids()
             requests = []
@@ -211,29 +213,19 @@ class TestMemoisedOverlay:
                 requests.append(Request(op="insert", position=tuple(rng.uniform(0.0, side, size=2))))
             _apply(world, batcher, requests)
 
-            kept = world._overlay_adjacency()
-            if world.engine.result() is overlay:
-                assert kept is adjacency  # no re-splice, no rebuild
-            else:
-                rebuilds += 1
-            overlay, adjacency = world.engine.result(), kept
+            resplices += world.engine.result() is not overlay
+            overlay = world.engine.result()
             # A fresh dict-of-lists in edge order: each list comes out
-            # ascending, the order the kept CSR rows must reproduce.
+            # ascending, the order the kept rows must reproduce.
             fresh = {}
             for a, b in overlay.edges.tolist():
                 fresh.setdefault(a, []).append(b)
                 fresh.setdefault(b, []).append(a)
-            indptr, indices = kept
-            overlay_nodes = overlay.edges.ravel().tolist() + list(overlay.representatives.values())
-            assert len(indptr) - 1 > max(overlay_nodes)  # a row for every overlay node
-            rows = {
-                node: indices[indptr[node] : indptr[node + 1]]
-                for node in range(len(indptr) - 1)
-                if indptr[node + 1] > indptr[node]
-            }
-            assert rows == fresh
+            assert world.engine.adjacency == fresh
+            for tile in [*world.engine.tiling.tiles(), (-1, 0)]:  # and one off the grid
+                assert world.engine.representative(tile) == overlay.representatives.get(tile)
             assert world.engine.matches_rebuild()
-        assert 0 < rebuilds < ticks, rebuilds
+        assert 0 < resplices < ticks, resplices
 
 
 class TestStateRoundTrip:
